@@ -2,9 +2,10 @@
 whose symbols have finite, order-2 boundary contact.
 
 The pipeline: build a symbol (rational coefficients or explicit
-boundary data), certify the order-2 contact conditions, partition the
-boundary contact set by its orbit behavior, and synthesize the spectrum
-and essential spectrum in closed form.  A finite-matrix laboratory
+boundary data), reduce it once to boundary data, certify the order-2
+contact conditions, partition the boundary contact set by its orbit
+behavior, and synthesize the spectrum and essential spectrum in closed
+form.  A finite-matrix laboratory
 independently verifies the annihilation-sum spectral lemmas the
 synthesis rests on.
 """
@@ -19,11 +20,11 @@ from .mobius import (MobiusMap, SecondOrderData, compose, evaluate,
                      is_disk_automorphism, IDENTITY_FIXED, AT_INFINITY)
 from .symbol import (RationalSymbol, BoundaryDataSymbol, Symbol,
                      DenjoyWolffRecord, Location, TypeClass, ClarkAtoms,
+                     Analysis, analyze,
                      contact_set, contact_points, second_order_data,
-                     contact_order_two, denjoy_wolff, classify_type,
+                     denjoy_wolff, classify_type,
                      certify_s2, clark_atoms, essential_norm_sq)
-from .dynamics import (Cycle, OrbitPartition, boundary_step, partition,
-                       cycle_multiplier, primitive_lead_ins)
+from .dynamics import Cycle, OrbitPartition, partition, cycle_multiplier
 from .spectrum import (Disk, Spiral, Points, GeometricTail, SpectralRegion,
                        region, contains, max_modulus, region_equal,
                        SpectrumReport, lft_spectra, rho, rho_star,

@@ -9,6 +9,10 @@ Symbol documents are plain JSON with complex numbers as [re, im] pairs::
      "denjoy_wolff": {"omega": [1,0], "derivative": [0.5,0],
                       "location": "boundary"}}
 
+``analyze``, ``spectrum``, ``classify`` and ``boundary`` each parse the
+document, reduce it once with :func:`compspec.symbol.analyze` and write
+one projection of that analysis.
+
 Exit codes: 0 success, 1 hard error (nothing written), 2 out-of-scope
 rejection (a report with the rejection certificate is still emitted),
 64 usage error.
@@ -29,10 +33,8 @@ from .mobius import SecondOrderData
 from .render import region_svg
 from .spectrum import (Disk, GeometricTail, Points, Spiral, SpectralRegion,
                        contains, probe_points, region, synthesize)
-from .symbol import (BoundaryDataSymbol, DenjoyWolffRecord, Location,
-                     RationalSymbol, certify_s2, classify_type,
-                     contact_points, denjoy_wolff, essential_norm_sq,
-                     second_order_data)
+from .symbol import (Analysis, BoundaryDataSymbol, DenjoyWolffRecord,
+                     Location, RationalSymbol, analyze, essential_norm_sq)
 
 SCHEMA = "compspec/1"
 
@@ -58,23 +60,28 @@ def _parse_c(v, path: str) -> complex:
     return complex(v[0], v[1])
 
 
-def _parse_symbol(doc: dict, tol: Tolerances):
+def _parse_coeffs(doc: dict, key: str) -> tuple:
+    raw = doc.get(key)
+    if not isinstance(raw, list):
+        raise CompspecError(f"{key}: expected a list of [re, im] pairs")
+    return tuple(_parse_c(v, f"{key}[{i}]") for i, v in enumerate(raw))
+
+
+def _parse_symbol(doc, tol: Tolerances):
     if not isinstance(doc, dict):
         raise CompspecError("document root must be a JSON object")
     kind = doc.get("kind")
     if kind == "rational":
-        for key in ("num", "den"):
-            if not isinstance(doc.get(key), list):
-                raise CompspecError(f"{key}: expected a list of [re, im] pairs")
-        num = tuple(_parse_c(v, f"num[{i}]") for i, v in enumerate(doc["num"]))
-        den = tuple(_parse_c(v, f"den[{i}]") for i, v in enumerate(doc["den"]))
-        return RationalSymbol(num, den, tol=tol)
+        return RationalSymbol(_parse_coeffs(doc, "num"),
+                              _parse_coeffs(doc, "den"), tol=tol)
     if kind == "boundary-data":
         raw_pts = doc.get("points")
         if not isinstance(raw_pts, list) or not raw_pts:
             raise CompspecError("points: expected a nonempty list")
         pts = []
         for i, p in enumerate(raw_pts):
+            if not isinstance(p, dict):
+                raise CompspecError(f"points[{i}]: expected an object")
             pts.append(SecondOrderData(
                 _parse_c(p.get("zeta"), f"points[{i}].zeta"),
                 _parse_c(p.get("value"), f"points[{i}].value"),
@@ -84,11 +91,14 @@ def _parse_symbol(doc: dict, tol: Tolerances):
         raw_dw = doc.get("denjoy_wolff")
         if not isinstance(raw_dw, dict):
             raise CompspecError("denjoy_wolff: expected an object")
+        try:
+            location = Location(raw_dw.get("location", "boundary"))
+        except ValueError as exc:
+            raise CompspecError(f"denjoy_wolff.location: {exc}") from exc
         dw = DenjoyWolffRecord(
             _parse_c(raw_dw.get("omega"), "denjoy_wolff.omega"),
             _parse_c(raw_dw.get("derivative"), "denjoy_wolff.derivative"),
-            Location(raw_dw.get("location", "boundary")),
-            tol=tol)
+            location, tol=tol)
         return BoundaryDataSymbol(tuple(pts), dw, tol=tol)
     raise CompspecError(
         f'kind: expected "rational" or "boundary-data", got {kind!r}')
@@ -204,108 +214,84 @@ def _rejection_doc(doc, reason: str, cert=None) -> dict:
     return out
 
 
-def _full_report(doc, s) -> dict:
-    cert = certify_s2(s)
-    if not cert.accepted:
-        raise NotCertifiedError("order-2 certification failed")
-    report = synthesize(s)
-    return {
-        "schema": SCHEMA,
-        "input": doc,
-        "accepted": True,
-        "certification": _cert_json(cert),
-        "denjoy_wolff": _dw_json(report.dw),
-        "type_class": report.type_class.value,
-        "partition": _partition_json(report.partition),
-        "rho": report.rho,
-        "essential": _region_json(report.essential),
-        "full": _region_json(report.full),
-        "essential_norm_sq": essential_norm_sq(s),
-        "diagnostics": {"notes": list(report.notes)},
-    }
+def _project(args, projection) -> int:
+    """Reduce the input document once and write ``projection(doc,
+    analysis)``, plus the SVG of its "full" region when asked.
 
-
-def cmd_analyze(args) -> int:
+    Out-of-scope and uncertified symbols are rejected with exit 2; the
+    rejection carries the certificate once the reduction has it."""
     doc = _load_doc(args.input)
     tol = _tolerances(args)
+    a = None
     try:
-        s = _parse_symbol(doc, tol)
-    except NotInScopeError as exc:
-        _emit(_rejection_doc(doc, str(exc)), args.out)
-        return EXIT_REJECTED
-    try:
-        out = _full_report(doc, s)
+        a = analyze(_parse_symbol(doc, tol))
+        out = projection(doc, a)
     except (NotInScopeError, NotCertifiedError) as exc:
-        cert = None
-        try:
-            cert = certify_s2(s)
-        except CompspecError:
-            pass
+        cert = None if a is None else a.certificate
         _emit(_rejection_doc(doc, str(exc), cert), args.out)
         return EXIT_REJECTED
     _emit(out, args.out)
-    if args.svg:
+    if getattr(args, "svg", None):
         r = _region_from_json(out["full"], tol)
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(region_svg(r, title="spectrum"))
     return EXIT_OK
 
 
+def _full_report(doc, a: Analysis) -> dict:
+    report = synthesize(a)
+    return {
+        "schema": SCHEMA,
+        "input": doc,
+        "accepted": True,
+        "certification": _cert_json(a.certificate),
+        "denjoy_wolff": _dw_json(report.dw),
+        "type_class": report.type_class.value,
+        "partition": _partition_json(report.partition),
+        "rho": report.rho,
+        "essential": _region_json(report.essential),
+        "full": _region_json(report.full),
+        "essential_norm_sq": essential_norm_sq(a),
+        "diagnostics": {"notes": list(report.notes)},
+    }
+
+
+def _spectrum(doc, a: Analysis) -> dict:
+    report = synthesize(a)
+    return {"schema": SCHEMA, "accepted": True, "rho": report.rho,
+            "essential": _region_json(report.essential),
+            "full": _region_json(report.full)}
+
+
+def _classification(doc, a: Analysis) -> dict:
+    return {"schema": SCHEMA,
+            "denjoy_wolff": _dw_json(a.boundary.denjoy_wolff),
+            "type_class": a.type_class.value}
+
+
+def _boundary(doc, a: Analysis) -> dict:
+    pts = [{"zeta": _c(p.zeta), "value": _c(p.value),
+            "d1": _c(p.d1), "d2": _c(p.d2), "multiplicity": c.multiplicity,
+            "contact_margin": p.contact_margin()}
+           for p, c in zip(a.boundary.points, a.certificate.checks)]
+    return {"schema": SCHEMA, "contact_set": pts,
+            "certification": _cert_json(a.certificate)}
+
+
+def cmd_analyze(args) -> int:
+    return _project(args, _full_report)
+
+
 def cmd_spectrum(args) -> int:
-    doc = _load_doc(args.input)
-    tol = _tolerances(args)
-    try:
-        s = _parse_symbol(doc, tol)
-        report = synthesize(s)
-    except (NotInScopeError, NotCertifiedError) as exc:
-        _emit(_rejection_doc(doc, str(exc)), args.out)
-        return EXIT_REJECTED
-    out = {"schema": SCHEMA, "accepted": True, "rho": report.rho,
-           "essential": _region_json(report.essential),
-           "full": _region_json(report.full)}
-    _emit(out, args.out)
-    if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(region_svg(report.full, title="spectrum"))
-    return EXIT_OK
+    return _project(args, _spectrum)
 
 
 def cmd_classify(args) -> int:
-    doc = _load_doc(args.input)
-    tol = _tolerances(args)
-    try:
-        s = _parse_symbol(doc, tol)
-    except NotInScopeError as exc:
-        _emit(_rejection_doc(doc, str(exc)), args.out)
-        return EXIT_REJECTED
-    dw = denjoy_wolff(s)
-    if dw.location is Location.BOUNDARY and abs(dw.derivative.real - 1.0) <= tol.eps:
-        tclass = classify_type(dw, second_order_data(s, dw.omega))
-    else:
-        tclass = classify_type(dw)
-    _emit({"schema": SCHEMA, "denjoy_wolff": _dw_json(dw),
-           "type_class": tclass.value}, args.out)
-    return EXIT_OK
+    return _project(args, _classification)
 
 
 def cmd_boundary(args) -> int:
-    doc = _load_doc(args.input)
-    tol = _tolerances(args)
-    try:
-        s = _parse_symbol(doc, tol)
-    except NotInScopeError as exc:
-        _emit(_rejection_doc(doc, str(exc)), args.out)
-        return EXIT_REJECTED
-    pts = []
-    for cp in contact_points(s):
-        data = second_order_data(s, cp.zeta)
-        pts.append({"zeta": _c(data.zeta), "value": _c(data.value),
-                    "d1": _c(data.d1), "d2": _c(data.d2),
-                    "multiplicity": cp.multiplicity,
-                    "contact_margin": data.contact_margin()})
-    _emit({"schema": SCHEMA, "contact_set": pts,
-           "certification": _cert_json(certify_s2(s))}, args.out)
-    return EXIT_OK
+    return _project(args, _boundary)
 
 
 def cmd_lemma_check(args) -> int:
@@ -321,17 +307,15 @@ def cmd_lemma_check(args) -> int:
 def cmd_truncate(args) -> int:
     doc = _load_doc(args.input)
     tol = _tolerances(args)
-    if doc.get("kind") != "rational":
+    if not isinstance(doc, dict) or doc.get("kind") != "rational":
         raise CompspecError("truncate needs a rational symbol document")
-    num = [_parse_c(v, f"num[{i}]") for i, v in enumerate(doc["num"])]
-    den = [_parse_c(v, f"den[{i}]") for i, v in enumerate(doc["den"])]
+    num, den = _parse_coeffs(doc, "num"), _parse_coeffs(doc, "den")
     mat = truncation_from_coeffs(num, den, args.order)
     vals = sorted(eigenvalues(mat), key=lambda z: (-abs(z), z.real, z.imag))
     out = {"schema": SCHEMA, "order": args.order,
            "eigenvalues": [_c(v) for v in vals]}
     try:
-        s = RationalSymbol(tuple(num), tuple(den), tol=tol)
-        report = synthesize(s)
+        report = synthesize(RationalSymbol(num, den, tol=tol))
         out["predicted_full"] = _region_json(report.full)
         out["distances"] = [_region_distance(report.full, v) for v in vals]
     except CompspecError as exc:

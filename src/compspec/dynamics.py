@@ -12,11 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import AmbiguousMatchError, InvalidDataError
-from .symbol import (Symbol, boundary_derivative, boundary_image,
-                     contact_set)
+from .symbol import Analysis, Symbol, analyze, second_order_data
 
-__all__ = ["Cycle", "OrbitPartition", "boundary_step", "partition",
-           "cycle_multiplier", "primitive_lead_ins"]
+__all__ = ["Cycle", "OrbitPartition", "partition", "cycle_multiplier"]
 
 
 @dataclass(frozen=True)
@@ -54,39 +52,23 @@ def _match(points, w, match_tol):
     return hits[0] if hits else None
 
 
-def boundary_step(s: Symbol, zeta: complex):
-    """phi(zeta) if it lands back in the contact set, else None ("exits")."""
-    points = contact_set(s)
-    if _match(points, zeta, s.tol.match_tol) is None:
-        raise InvalidDataError(f"{zeta} is not a contact point")
-    w = boundary_image(s, zeta)
-    i = _match(points, w, s.tol.match_tol)
-    return None if i is None else points[i]
-
-
-def cycle_multiplier(s: Symbol, points) -> float:
+def cycle_multiplier(s: Symbol | Analysis, points) -> float:
     """Chain-rule product of |phi'| over the cycle points."""
+    a = analyze(s)
     out = 1.0
     for p in points:
-        out *= abs(boundary_derivative(s, p))
+        out *= abs(second_order_data(a, p).d1)
     return out
 
 
-def partition(s: Symbol) -> OrbitPartition:
-    points = contact_set(s)
+def partition(s: Symbol | Analysis) -> OrbitPartition:
+    # matching needs the contact points more than 10x match_tol apart,
+    # which BoundaryDataSymbol enforces
+    a = analyze(s)
+    data = a.boundary.points
+    points = [p.zeta for p in data]
     n = len(points)
-    if n == 0:
-        return OrbitPartition((), (), {})
-    match_tol = s.tol.match_tol
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(points[i] - points[j]) < 10 * match_tol:
-                raise InvalidDataError(
-                    "contact points closer than 10x the matching tolerance")
-    succ = []
-    for p in points:
-        w = boundary_image(s, p)
-        succ.append(_match(points, w, match_tol))
+    succ = [_match(points, p.value, a.tol.match_tol) for p in data]
 
     # walk each point at most n+1 steps: exit -> iterate-out, else find
     # the first repeat, which identifies the cycle the point reaches
@@ -123,8 +105,8 @@ def partition(s: Symbol) -> OrbitPartition:
     lead_ins: dict[int, tuple] = {}
     for k, cyc in enumerate(cycles):
         pts = tuple(points[i] for i in cyc)
-        mult = cycle_multiplier(s, pts)
-        if len(pts) > 1 and mult <= 1.0 + s.tol.eps:
+        mult = cycle_multiplier(a, pts)
+        if len(pts) > 1 and mult <= 1.0 + a.tol.eps:
             raise InvalidDataError(
                 f"cycle of length {len(pts)} with multiplier {mult} <= 1; "
                 "a second Denjoy-Wolff point would follow")
@@ -138,15 +120,3 @@ def partition(s: Symbol) -> OrbitPartition:
     return OrbitPartition(tuple(points[i] for i in iterate_out),
                           tuple(cycle_objs), lead_ins)
 
-
-def primitive_lead_ins(s: Symbol, part: OrbitPartition, cycle_index: int):
-    """Lead-in points of a cycle with no lead-in preimage (recomputed on
-    demand; used transiently by the elimination argument)."""
-    leads = part.lead_ins[cycle_index]
-    out = []
-    for p in leads:
-        has_pre = any(abs(boundary_image(s, q) - p) <= s.tol.match_tol
-                      for q in leads if q != p)
-        if not has_pre:
-            out.append(p)
-    return tuple(out)

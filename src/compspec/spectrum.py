@@ -6,7 +6,8 @@ segment [0, 1] when a is real), a finite point set, and a geometric tail
 {base^k: k >= 0} u {0}.  Canonicalization keeps at most one disk (the
 largest) and drops primitives the disk absorbs.
 
-Synthesis dispatches on the Denjoy-Wolff data and the orbit partition:
+Synthesis reads boundary data only (see :func:`compspec.symbol.analyze`)
+and dispatches on the Denjoy-Wolff data and the orbit partition:
 compact and power-compact cases give {0} plus the eigenvalue tail,
 otherwise the essential spectrum is assembled from cycle multipliers
 (disk of radius rho) and, for a parabolic fixed point, a spiral.
@@ -26,9 +27,8 @@ from .errors import InvalidDataError, NotCertifiedError
 from .mobius import (MobiusMap, derivative, fixed_points,
                      is_disk_automorphism, lfm_from_data, second_derivative,
                      IDENTITY_FIXED, AT_INFINITY)
-from .symbol import (DenjoyWolffRecord, Location, Symbol, TypeClass,
-                     certify_s2, classify_type, contact_set, denjoy_wolff,
-                     second_order_data)
+from .symbol import (Analysis, DenjoyWolffRecord, Location, Symbol,
+                     TypeClass, analyze, second_order_data)
 
 __all__ = [
     "Disk", "Spiral", "Points", "GeometricTail", "SpectralRegion",
@@ -343,22 +343,18 @@ def _dw_cycle_index(part: OrbitPartition, omega: complex,
         "boundary Denjoy-Wolff point is not a singleton cycle")
 
 
-def synthesize(s: Symbol) -> SpectrumReport:
+def synthesize(s: Symbol | Analysis) -> SpectrumReport:
     """Full decision procedure for a certified order-2-contact symbol."""
-    cert = certify_s2(s)
+    a = analyze(s)
+    cert = a.certificate
     if not cert.accepted:
         raise NotCertifiedError(
             f"symbol fails order-2 certification at {[c.zeta for c in cert.failing]}")
-    tol = s.tol
-    dw = denjoy_wolff(s)
-    part = partition(s)
+    tol = a.tol
+    dw = a.boundary.denjoy_wolff
+    part = partition(a)
     notes = []
-    if dw.location is Location.BOUNDARY and abs(dw.derivative.real - 1.0) <= tol.eps:
-        data = second_order_data(s, dw.omega)
-        tclass = classify_type(dw, data)
-    else:
-        data = None
-        tclass = classify_type(dw)
+    tclass = a.type_class
     if tclass is TypeClass.PARABOLIC_AUTOMORPHISM:
         raise InvalidDataError(
             "parabolic automorphism-type symbol is outside the synthesis "
@@ -407,8 +403,7 @@ def synthesize(s: Symbol) -> SpectrumReport:
     # parabolic non-automorphism type
     j_star = _dw_cycle_index(part, dw.omega, tol.match_tol)
     r_star = rho_star(part, j_star)
-    a = dw.omega * data.d2
-    prims = [Spiral(a)]
+    prims = [Spiral(dw.omega * second_order_data(a, dw.omega).d2)]
     if r_star > tol.eps:
         prims.append(Disk(r_star))
     both = region(*prims, tol=tol)
@@ -426,15 +421,15 @@ def spectral_radius_check(report: SpectrumReport,
     return abs(max_modulus(report.full) - expected) <= 1e-8 * max(1.0, expected)
 
 
-def kms2t_essential_union(s: Symbol) -> SpectralRegion:
+def kms2t_essential_union(s: Symbol | Analysis) -> SpectralRegion:
     """Second, independent route to the essential spectrum when every
     contact point is a fixed point (mutually non-communicating singleton
     cycles): union of the essential spectra of the per-point
     linear-fractional matches, plus {0}."""
-    cert = certify_s2(s)
-    if not cert.accepted:
+    a = analyze(s)
+    if not a.certificate.accepted:
         raise NotCertifiedError("symbol fails order-2 certification")
-    part = partition(s)
+    part = partition(a)
     ok = (not part.iterate_out
           and all(c.length == 1 for c in part.cycles)
           and all(not v for v in part.lead_ins.values())
@@ -443,8 +438,7 @@ def kms2t_essential_union(s: Symbol) -> SpectralRegion:
         raise InvalidDataError(
             "contact set is not a union of fixed points; use synthesize()")
     prims = [Points((0.0 + 0.0j,))]
-    for zeta in contact_set(s):
-        psi = lfm_from_data(second_order_data(s, zeta))
-        _, essential = lft_spectra(psi)
+    for data in a.boundary.points:
+        _, essential = lft_spectra(lfm_from_data(data))
         prims.append(essential)
-    return region(*prims, tol=s.tol)
+    return region(*prims, tol=a.tol)

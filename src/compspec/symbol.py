@@ -6,6 +6,12 @@ into itself, and not be inner.  A boundary-data symbol carries explicit
 second-order data at finitely many unimodular points plus a declared
 Denjoy-Wolff record; it is the entry path for non-rational maps.
 
+The synthesis reads only boundary data, so :func:`analyze` reduces a
+symbol of either kind, once, to an :class:`Analysis`: a boundary-data
+symbol and its order-2 certificate.  It is the one place that knows the
+kind.  Every other public function accepts either kind or an analysis
+and reduces it once at entry.
+
 Boundary contact points of a rational symbol are located as unit-circle
 roots of the reflection polynomial
 
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -33,11 +40,10 @@ from .mobius import SecondOrderData
 __all__ = [
     "RationalSymbol", "BoundaryDataSymbol", "Symbol",
     "DenjoyWolffRecord", "TypeClass", "ClarkAtoms",
-    "ContactPoint", "S2Certificate", "PointCheck",
+    "ContactPoint", "S2Certificate", "PointCheck", "Analysis", "analyze",
     "contact_set", "contact_points", "second_order_data",
-    "contact_order_two", "denjoy_wolff", "classify_type",
+    "denjoy_wolff", "classify_type",
     "certify_s2", "clark_atoms", "essential_norm_sq",
-    "boundary_image", "boundary_derivative",
 ]
 
 DEGREE_CAP = 64
@@ -67,6 +73,15 @@ def _reflect(coeffs: np.ndarray, degree: int) -> np.ndarray:
     return np.conj(padded)[::-1]
 
 
+class _Polys(NamedTuple):
+    """Coefficients of phi = N/D, built once with the symbol."""
+    n: np.ndarray
+    d: np.ndarray
+    u: np.ndarray   # phi' = U / D^2
+    v: np.ndarray   # phi'' = V / D^3
+    g: np.ndarray   # the reflection polynomial G
+
+
 @dataclass(frozen=True)
 class RationalSymbol:
     """phi = N/D with D zero-free on the closed disk and |phi| <= 1."""
@@ -74,6 +89,7 @@ class RationalSymbol:
     num: tuple
     den: tuple
     tol: Tolerances = DEFAULT_TOL
+    _polys: _Polys = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = _trim(self.num)
@@ -96,8 +112,7 @@ class RationalSymbol:
             raise InvalidDataError(
                 f"sup |phi| on the circle is {np.max(vals)} > 1")
         # nonconstant: numerator of phi' must not vanish identically
-        u = _trim(P.polysub(P.polymul(P.polyder(n), d),
-                            P.polymul(n, P.polyder(d))))
+        u = P.polysub(P.polymul(P.polyder(n), d), P.polymul(n, P.polyder(d)))
         if np.max(np.abs(u)) <= eps * max(1.0, np.max(np.abs(n)) * max(1.0, np.max(np.abs(d)))):
             raise InvalidDataError("symbol is constant")
         deg = max(n.size, d.size) - 1
@@ -106,28 +121,24 @@ class RationalSymbol:
         scale = max(np.max(np.abs(n)), np.max(np.abs(d))) ** 2
         if np.max(np.abs(g)) <= 1e-12 * scale:
             raise NotInScopeError("not in scope: inner symbol")
-        object.__setattr__(self, "num", tuple(n))
-        object.__setattr__(self, "den", tuple(d))
-
-    # -- evaluation -------------------------------------------------
-    def _nd(self):
-        return np.asarray(self.num), np.asarray(self.den)
-
-    def value(self, z: complex) -> complex:
-        n, d = self._nd()
-        return complex(P.polyval(z, n) / P.polyval(z, d))
-
-    def deriv(self, z: complex) -> complex:
-        n, d = self._nd()
-        u = P.polysub(P.polymul(P.polyder(n), d), P.polymul(n, P.polyder(d)))
-        return complex(P.polyval(z, u) / P.polyval(z, d) ** 2)
-
-    def deriv2(self, z: complex) -> complex:
-        n, d = self._nd()
-        u = P.polysub(P.polymul(P.polyder(n), d), P.polymul(n, P.polyder(d)))
         v = P.polysub(P.polymul(P.polyder(u), d),
                       P.polymul(P.polymul(u, P.polyder(d)), [2.0]))
-        return complex(P.polyval(z, v) / P.polyval(z, d) ** 3)
+        object.__setattr__(self, "num", tuple(n))
+        object.__setattr__(self, "den", tuple(d))
+        object.__setattr__(self, "_polys", _Polys(n, d, u, v, g))
+
+    # -- evaluation -------------------------------------------------
+    def value(self, z: complex) -> complex:
+        p = self._polys
+        return complex(P.polyval(z, p.n) / P.polyval(z, p.d))
+
+    def deriv(self, z: complex) -> complex:
+        p = self._polys
+        return complex(P.polyval(z, p.u) / P.polyval(z, p.d) ** 2)
+
+    def deriv2(self, z: complex) -> complex:
+        p = self._polys
+        return complex(P.polyval(z, p.v) / P.polyval(z, p.d) ** 3)
 
 
 class Location(str, enum.Enum):
@@ -165,7 +176,8 @@ class DenjoyWolffRecord:
 
 @dataclass(frozen=True)
 class BoundaryDataSymbol:
-    """A symbol known only through second-order data at its contact set."""
+    """A symbol known only through second-order data at its contact set
+    (which may be empty: the operator is then compact)."""
 
     points: tuple
     denjoy_wolff: DenjoyWolffRecord
@@ -173,8 +185,6 @@ class BoundaryDataSymbol:
 
     def __post_init__(self):
         pts = tuple(self.points)
-        if not pts:
-            raise InvalidDataError("boundary-data symbol needs >= 1 point")
         for p in pts:
             if not isinstance(p, SecondOrderData):
                 raise InvalidDataError("points must be SecondOrderData")
@@ -224,9 +234,74 @@ class ClarkAtoms:
         return float(sum(m for _, m in self.atoms))
 
 
+@dataclass(frozen=True)
+class PointCheck:
+    zeta: complex
+    margin: float
+    order_two: bool
+    multiplicity: int
+    ok: bool
+    note: str = ""
+
+
+@dataclass(frozen=True)
+class S2Certificate:
+    accepted: bool
+    checks: tuple
+    notes: tuple = field(default_factory=tuple)
+
+    @property
+    def failing(self):
+        return [c for c in self.checks if not c.ok]
+
+
 # ----------------------------------------------------------------------
-# contact set
+# the reduction
 # ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Analysis:
+    """A symbol reduced to boundary data by :func:`analyze`.  The
+    certificate's checks follow ``boundary.points`` and carry each
+    point's multiplicity as a root of the reflection polynomial (1 for
+    declared data)."""
+
+    boundary: BoundaryDataSymbol
+    certificate: S2Certificate
+
+    @property
+    def tol(self) -> Tolerances:
+        return self.boundary.tol
+
+    @property
+    def type_class(self) -> TypeClass:
+        dw = self.boundary.denjoy_wolff
+        data = (second_order_data(self, dw.omega)
+                if dw.location is Location.BOUNDARY else None)
+        return classify_type(dw, data)
+
+
+def analyze(s: Symbol | Analysis) -> Analysis:
+    """Reduce a symbol to its boundary data and order-2 certificate.
+
+    For a rational symbol this finds the contact points, the
+    second-order data at each of them and the Denjoy-Wolff point, each
+    exactly once.  An analysis is returned unchanged."""
+    if isinstance(s, Analysis):
+        return s
+    if isinstance(s, BoundaryDataSymbol):
+        return Analysis(s, _certificate(
+            s.points, [1] * len(s.points), s.tol,
+            "conditions (i), (ii), (iv): declared by the boundary-data record"))
+    contacts = contact_points(s)
+    points = tuple(_data_at(s, cp.zeta) for cp in contacts)
+    certificate = _certificate(
+        points, [cp.multiplicity for cp in contacts], s.tol,
+        "conditions (i), (ii), (iv): automatic for a rational symbol "
+        "analytic on the closed disk")
+    dw = _rational_denjoy_wolff(s, points)
+    return Analysis(BoundaryDataSymbol(points, dw, tol=s.tol), certificate)
+
 
 def _polish_contact(s: RationalSymbol, theta0: float) -> float:
     """Newton on d/dtheta |phi(e^{i theta})|^2 from the seed angle."""
@@ -249,27 +324,20 @@ def _polish_contact(s: RationalSymbol, theta0: float) -> float:
     return theta
 
 
-def contact_points(s: Symbol) -> list[ContactPoint]:
-    """Contact points with their reflection-polynomial multiplicities."""
-    if isinstance(s, BoundaryDataSymbol):
-        return [ContactPoint(p.zeta, 1) for p in s.points]
-    n = np.asarray(s.num)
-    d = np.asarray(s.den)
-    deg = max(n.size, d.size) - 1
-    g = _trim(P.polysub(P.polymul(n, _reflect(n, deg)),
-                        P.polymul(d, _reflect(d, deg))))
-    if g.size <= 1:
-        return []
-    roots = P.polyroots(g)
+def contact_points(s: RationalSymbol) -> list[ContactPoint]:
+    """Contact points of a rational symbol with their reflection-polynomial
+    multiplicities: the root-finding step of :func:`analyze`."""
+    roots = P.polyroots(s._polys.g)
     if not np.all(np.isfinite(roots)):
         raise RootFindingError("companion-matrix root finding failed")
     unit = roots[np.abs(np.abs(roots) - 1.0) < 1e-6]
-    if unit.size == 0:
-        return []
     polished = []
     for r in unit:
         theta = _polish_contact(s, float(np.angle(r)))
         z = complex(np.exp(1j * theta))
+        # components below 1e-15 are roundoff of an exact zero (as in
+        # Im e^{i pi}), and their sign differs between platforms
+        z = complex(*(0.0 if abs(x) < 1e-15 else x for x in (z.real, z.imag)))
         if abs(abs(s.value(z)) - 1.0) < 1e-8:
             polished.append((theta % (2.0 * np.pi), z))
     polished.sort(key=lambda t: t[0])
@@ -285,77 +353,31 @@ def contact_points(s: Symbol) -> list[ContactPoint]:
     return [ContactPoint(c[0][1], len(c)) for c in clusters]
 
 
-def contact_set(s: Symbol) -> list[complex]:
-    """Unimodular points where phi has finite angular derivative."""
-    return [p.zeta for p in contact_points(s)]
-
-
-def _match_contact(s: Symbol, zeta: complex) -> complex:
-    pts = contact_set(s)
-    hits = [z for z in pts if abs(z - zeta) <= s.tol.match_tol]
-    if not hits:
-        raise InvalidDataError(f"{zeta} is not a contact point")
-    return hits[0]
-
-
-# ----------------------------------------------------------------------
-# second-order data and type classification
-# ----------------------------------------------------------------------
-
-def second_order_data(s: Symbol, zeta: complex) -> SecondOrderData:
-    if isinstance(s, BoundaryDataSymbol):
-        for p in s.points:
-            if abs(p.zeta - zeta) <= s.tol.match_tol:
-                return p
-        raise InvalidDataError(f"{zeta} is not a declared contact point")
-    z = _match_contact(s, zeta)
+def _data_at(s: RationalSymbol, z: complex) -> SecondOrderData:
     value = s.value(z)
     value /= abs(value)  # unimodular up to roundoff by construction
     return SecondOrderData(z, value, s.deriv(z), s.deriv2(z), tol=s.tol)
 
 
-def contact_order_two(data: SecondOrderData) -> bool:
-    return data.contact_margin() > data.tol.eps
+def _certificate(points, multiplicities, tol: Tolerances,
+                 note: str) -> S2Certificate:
+    """Per-contact-point order-2 checks; rejection is a value."""
+    checks = []
+    for data, mult in zip(points, multiplicities):
+        margin = data.contact_margin()
+        order2 = margin > tol.eps
+        why = ("contact order exceeds 2" if mult > 2 else
+               "" if order2 else "order-2 contact inequality fails")
+        checks.append(PointCheck(data.zeta, margin, order2, mult, not why,
+                                 why))
+    return S2Certificate(all(c.ok for c in checks), tuple(checks), (note,))
 
 
-def boundary_image(s: Symbol, zeta: complex) -> complex:
-    if isinstance(s, BoundaryDataSymbol):
-        return second_order_data(s, zeta).value
-    return s.value(zeta)
-
-
-def boundary_derivative(s: Symbol, zeta: complex) -> complex:
-    if isinstance(s, BoundaryDataSymbol):
-        return second_order_data(s, zeta).d1
-    return s.deriv(zeta)
-
-
-def _iterate_check(s: RationalSymbol, omega: complex):
-    z = 0.0 + 0.0j
-    for _ in range(5000):
-        nxt = s.value(z)
-        if abs(nxt - z) < 1e-12:
-            z = nxt
-            break
-        z = nxt
-    if abs(z - omega) > 1e-3:
-        raise RootFindingError(
-            f"iteration from 0 reached {z}, not the DW candidate {omega}")
-
-
-def denjoy_wolff(s: Symbol) -> DenjoyWolffRecord:
-    """Denjoy-Wolff point, derivative, and location."""
-    if isinstance(s, BoundaryDataSymbol):
-        return s.denjoy_wolff
-    n = np.asarray(s.num)
-    d = np.asarray(s.den)
-    # N(z) - z D(z) = 0
-    shifted = np.concatenate([[0.0], d])
-    size = max(n.size, shifted.size)
-    f = np.zeros(size, dtype=complex)
-    f[: n.size] += n
-    f[: shifted.size] -= shifted
-    f = _trim(f)
+def _rational_denjoy_wolff(s: RationalSymbol, points) -> DenjoyWolffRecord:
+    """Denjoy-Wolff point of a rational symbol, given the second-order
+    data at its contact points."""
+    n, d = s._polys.n, s._polys.d
+    f = _trim(P.polysub(n, P.polymulx(d)))    # N(z) - z D(z)
     if f.size <= 1:
         raise RootFindingError("fixed-point polynomial is degenerate")
     roots = P.polyroots(f)
@@ -379,19 +401,51 @@ def denjoy_wolff(s: Symbol) -> DenjoyWolffRecord:
             f"multiple interior DW candidates: {[f_.omega for f_ in found]}")
     if not found:
         # snap near-circle roots to fixed contact points
-        for p in contact_set(s):
-            if abs(s.value(p) - p) <= s.tol.match_tol:
-                dp = s.deriv(p)
+        for data in points:
+            if abs(data.value - data.zeta) <= s.tol.match_tol:
+                dp = data.d1
                 if abs(dp.imag) <= 1e-8 * max(1.0, abs(dp)) and 0 < dp.real <= 1.0 + eps:
                     found.append(DenjoyWolffRecord(
-                        p, min(dp.real, 1.0), Location.BOUNDARY, tol=s.tol))
+                        data.zeta, min(dp.real, 1.0), Location.BOUNDARY,
+                        tol=s.tol))
         if len(found) != 1:
             raise RootFindingError(
                 "no unique root satisfies the Denjoy-Wolff characterization; "
                 f"fixed-point candidates: {list(cands)}")
-    rec = found[0]
-    _iterate_check(s, rec.omega)
-    return rec
+    # iteration from 0 must approach the candidate
+    z = 0.0 + 0.0j
+    for _ in range(5000):
+        nxt = s.value(z)
+        if abs(nxt - z) < 1e-12:
+            z = nxt
+            break
+        z = nxt
+    if abs(z - found[0].omega) > 1e-3:
+        raise RootFindingError(f"iteration from 0 reached {z}, not the "
+                               f"DW candidate {found[0].omega}")
+    return found[0]
+
+
+# ----------------------------------------------------------------------
+# projections of the analysis
+# ----------------------------------------------------------------------
+
+def contact_set(s: Symbol | Analysis) -> list[complex]:
+    """Unimodular points where phi has finite angular derivative."""
+    return [p.zeta for p in analyze(s).boundary.points]
+
+
+def second_order_data(s: Symbol | Analysis, zeta: complex) -> SecondOrderData:
+    a = analyze(s)
+    for p in a.boundary.points:
+        if abs(p.zeta - zeta) <= a.tol.match_tol:
+            return p
+    raise InvalidDataError(f"{zeta} is not a contact point")
+
+
+def denjoy_wolff(s: Symbol | Analysis) -> DenjoyWolffRecord:
+    """Denjoy-Wolff point, derivative, and location."""
+    return analyze(s).boundary.denjoy_wolff
 
 
 def classify_type(dw: DenjoyWolffRecord,
@@ -416,80 +470,23 @@ def classify_type(dw: DenjoyWolffRecord,
     return TypeClass.PARABOLIC_AUTOMORPHISM
 
 
-# ----------------------------------------------------------------------
-# S(2) certification
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PointCheck:
-    zeta: complex
-    margin: float
-    order_two: bool
-    multiplicity: int
-    ok: bool
-    note: str = ""
-
-
-@dataclass(frozen=True)
-class S2Certificate:
-    accepted: bool
-    checks: tuple
-    notes: tuple = field(default_factory=tuple)
-
-    @property
-    def failing(self):
-        return [c for c in self.checks if not c.ok]
-
-
-def certify_s2(s: Symbol) -> S2Certificate:
+def certify_s2(s: Symbol | Analysis) -> S2Certificate:
     """Per-contact-point order-2 checks; rejection is a value."""
-    checks = []
-    notes = []
-    if isinstance(s, RationalSymbol):
-        notes.append("conditions (i), (ii), (iv): automatic for a rational "
-                     "symbol analytic on the closed disk")
-    else:
-        notes.append("conditions (i), (ii), (iv): declared by the "
-                     "boundary-data record")
-    for cp in contact_points(s):
-        data = second_order_data(s, cp.zeta)
-        margin = data.contact_margin()
-        order2 = margin > s.tol.eps
-        mult_ok = cp.multiplicity <= 2
-        note = ""
-        if not mult_ok:
-            note = "contact order exceeds 2"
-        elif not order2:
-            note = "order-2 contact inequality fails"
-        checks.append(PointCheck(cp.zeta, margin, order2, cp.multiplicity,
-                                 order2 and mult_ok, note))
-    accepted = all(c.ok for c in checks)
-    return S2Certificate(accepted, tuple(checks), tuple(notes))
+    return analyze(s).certificate
 
 
-# ----------------------------------------------------------------------
-# Clark atoms / essential norm
-# ----------------------------------------------------------------------
-
-def clark_atoms(s: Symbol, alpha: complex) -> ClarkAtoms:
+def clark_atoms(s: Symbol | Analysis, alpha: complex) -> ClarkAtoms:
     alpha = complex(alpha)
     if abs(abs(alpha) - 1.0) > s.tol.eps:
         raise InvalidDataError("alpha must be unimodular")
-    atoms = []
-    for zeta in contact_set(s):
-        if abs(boundary_image(s, zeta) - alpha) <= s.tol.match_tol:
-            atoms.append((zeta, 1.0 / abs(boundary_derivative(s, zeta))))
-    return ClarkAtoms(alpha, tuple(atoms))
+    a = analyze(s)
+    return ClarkAtoms(alpha, tuple(
+        (p.zeta, 1.0 / abs(p.d1)) for p in a.boundary.points
+        if abs(p.value - alpha) <= a.tol.match_tol))
 
 
-def essential_norm_sq(s: Symbol) -> float:
+def essential_norm_sq(s: Symbol | Analysis) -> float:
     """sup over alpha of the pure-point singular mass; 0 means compact."""
-    pts = contact_set(s)
-    if not pts:
-        return 0.0
-    alphas: list[complex] = []
-    for zeta in pts:
-        a = boundary_image(s, zeta)
-        if not any(abs(a - b) <= s.tol.match_tol for b in alphas):
-            alphas.append(a)
-    return max(clark_atoms(s, a / abs(a)).total_mass for a in alphas)
+    a = analyze(s)
+    return max((clark_atoms(a, p.value / abs(p.value)).total_mass
+                for p in a.boundary.points), default=0.0)

@@ -2,8 +2,10 @@ import json
 import math
 import pathlib
 
+import numpy.polynomial.polynomial as npoly
 import pytest
 
+import compspec.symbol
 from compspec.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -34,6 +36,32 @@ def test_golden_reports(name, tmp_path):
     got = round12(json.loads(out.read_text()))
     want = round12(json.loads((GOLDEN / f"{name}.report.json").read_text()))
     assert got == want
+
+
+@pytest.mark.parametrize("name,polyroots,contact_points", [
+    ("lollipop", 3, 1), ("two_cycle", 3, 1), ("eight_point", 3, 1),
+    ("square_root", 0, 0)])
+def test_analyze_reduces_the_symbol_once(name, polyroots, contact_points,
+                                         monkeypatch, capsys):
+    # one root-finding each for the denominator, the reflection
+    # polynomial and the fixed-point polynomial; nothing is recomputed
+    calls = {"polyroots": 0, "contact_points": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(npoly, "polyroots",
+                        counted("polyroots", npoly.polyroots))
+    monkeypatch.setattr(compspec.symbol, "contact_points",
+                        counted("contact_points",
+                                compspec.symbol.contact_points))
+    assert run(["analyze", GOLDEN / f"{name}.symbol.json"]) == 0
+    capsys.readouterr()
+    assert calls == {"polyroots": polyroots,
+                     "contact_points": contact_points}
 
 
 def test_report_round_trips_losslessly(tmp_path):
@@ -89,6 +117,31 @@ def test_malformed_document_exit_1(tmp_path, capsys):
     assert run(["analyze", doc, "--out", out]) == 1
     assert not out.exists()
     assert "num" in capsys.readouterr().err
+
+
+_POINT = {"zeta": [1, 0], "value": [1, 0], "d1": [0.5, 0], "d2": [0, 0]}
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("truncate", {"kind": "rational", "den": [[1, 0]]}),
+    ("truncate", [1, 2]),
+    ("analyze", {"kind": "boundary-data", "points": [1],
+                 "denjoy_wolff": {}}),
+    ("analyze", {"kind": "boundary-data", "points": [_POINT],
+                 "denjoy_wolff": {"omega": [1, 0], "derivative": [0.5, 0],
+                                  "location": "sideways"}}),
+])
+def test_malformed_document_typed_error(command, doc, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    argv = [command, path, "--out", out]
+    if command == "truncate":
+        argv += ["--order", "4"]
+    assert run(argv) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(err[-1])["error"]
 
 
 def test_usage_error_exit_64(capsys):

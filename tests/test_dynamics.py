@@ -3,9 +3,7 @@ import math
 
 import pytest
 
-from compspec import (boundary_step, contact_set, cycle_multiplier,
-                      partition, primitive_lead_ins)
-from compspec.errors import InvalidDataError
+from compspec import contact_set, cycle_multiplier, partition
 from conftest import nearest
 
 
@@ -86,25 +84,3 @@ def test_cycle_multiplier_start_point_independent(two_cycle, eight_point):
             mults = [cycle_multiplier(s, pts) for pts in rotations]
             assert max(mults) - min(mults) < 1e-9 * max(1.0, max(mults))
 
-
-def test_boundary_step(eight_point):
-    e = lambda k: cmath.exp(1j * math.pi * k / 4)
-    # iterate-out point leaves the contact set
-    assert boundary_step(eight_point, e(1)) is None
-    # lead-in point lands on the 2-cycle
-    img = boundary_step(eight_point, 1j)
-    assert img is not None and min(abs(img - 1), abs(img + 1)) < 1e-9
-    # cycle points swap
-    pts = contact_set(eight_point)
-    one = nearest(pts, 1.0)
-    assert abs(boundary_step(eight_point, one) + 1) < 1e-9
-    with pytest.raises(InvalidDataError):
-        boundary_step(eight_point, 0.5)
-
-
-def test_primitive_lead_ins(eight_point):
-    part = partition(eight_point)
-    idx2 = next(i for i, c in enumerate(part.cycles) if c.length == 2)
-    prim = primitive_lead_ins(eight_point, part, idx2)
-    # i and -i have no preimage among the lead-ins themselves
-    assert set(prim) == set(part.lead_ins[idx2])
