@@ -10,7 +10,6 @@ independently verifies the annihilation-sum spectral lemmas the
 synthesis rests on.
 """
 
-from .config import Tolerances, DEFAULT_TOL
 from .errors import (CompspecError, DegenerateMapError, PoleError,
                      InvalidDataError, NotInScopeError, NotCertifiedError,
                      AmbiguousMatchError, RootFindingError)

@@ -176,11 +176,11 @@ def _verify_products(fam: AnnihilationFamily):
 # set matching
 # ----------------------------------------------------------------------
 
-def _scaled_tol(fam_or_mats, base_tol: float) -> float:
+def _scaled_tol(fam_or_mats) -> float:
     mats = (fam_or_mats.matrices if isinstance(fam_or_mats, AnnihilationFamily)
             else fam_or_mats)
     scale = max(1.0, max(np.linalg.norm(m) for m in mats))
-    return base_tol * scale
+    return SET_MATCH_TOL * scale
 
 
 def _nonzero(vals: np.ndarray, tol: float) -> np.ndarray:
@@ -213,84 +213,77 @@ def _subset(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
 # the lemma checkers
 # ----------------------------------------------------------------------
 
-def check_inclusion_FL(fam: AnnihilationFamily,
-                       base_tol: float = SET_MATCH_TOL) -> bool:
+def check_inclusion_FL(fam: AnnihilationFamily) -> bool:
     """sigma(a_1 + a_2) inside sigma(a_1) u sigma(a_2); inclusion only."""
     if fam.pattern is not Pattern.ONE_WAY or fam.n != 2:
         raise InvalidDataError("needs a one-way pair")
-    return check_union_FLC(fam, base_tol)
+    return check_union_FLC(fam)
 
 
-def check_union_FLC(fam: AnnihilationFamily,
-                    base_tol: float = SET_MATCH_TOL) -> bool:
+def check_union_FLC(fam: AnnihilationFamily) -> bool:
     if fam.pattern is not Pattern.ONE_WAY:
         raise InvalidDataError("needs a one-way family")
-    tol = _scaled_tol(fam, base_tol)
+    tol = _scaled_tol(fam)
     total = eigenvalues(sum(fam.matrices))
     union = np.concatenate([eigenvalues(m) for m in fam.matrices])
     return _subset(total, union, tol)
 
 
-def check_equality_TA(fam: AnnihilationFamily,
-                      base_tol: float = SET_MATCH_TOL) -> bool:
+def check_equality_TA(fam: AnnihilationFamily) -> bool:
     if fam.pattern is not Pattern.TWO_SIDED or fam.n != 2:
         raise InvalidDataError("needs a two-sided pair")
-    return check_equality_CTA(fam, base_tol)
+    return check_equality_CTA(fam)
 
 
-def check_equality_CTA(fam: AnnihilationFamily,
-                       base_tol: float = SET_MATCH_TOL) -> bool:
+def check_equality_CTA(fam: AnnihilationFamily) -> bool:
     """Nonzero spectrum of the sum equals the nonzero union."""
     if fam.pattern is not Pattern.TWO_SIDED:
         raise InvalidDataError("needs a two-sided family")
-    tol = _scaled_tol(fam, base_tol)
+    tol = _scaled_tol(fam)
     total = _nonzero(eigenvalues(sum(fam.matrices)), tol)
     union = _nonzero(np.concatenate([eigenvalues(m) for m in fam.matrices]),
                      tol)
     return spectra_match(total, union, tol)
 
 
-def check_LIP(fam: AnnihilationFamily,
-              base_tol: float = SET_MATCH_TOL) -> bool:
+def check_LIP(fam: AnnihilationFamily) -> bool:
     """a_1 a_2 = 0 and a_2^2 = 0: the nilpotent lead-in summand drops
     out of the nonzero spectrum."""
     if fam.pattern is not Pattern.LEAD_IN:
         raise InvalidDataError("needs a lead-in pair")
-    tol = _scaled_tol(fam, base_tol)
+    tol = _scaled_tol(fam)
     a1, a2 = fam.matrices
     total = _nonzero(eigenvalues(a1 + a2), tol)
     alone = _nonzero(eigenvalues(a1), tol)
     return spectra_match(total, alone, tol)
 
 
-def check_n2c(fam: AnnihilationFamily,
-              base_tol: float = SET_MATCH_TOL) -> bool:
+def check_n2c(fam: AnnihilationFamily) -> bool:
     """For a square-zero pair, nonzero lambda in sigma(a_1 + a_2) iff
     lambda^2 in sigma(a_1 a_2) iff lambda^2 in sigma(a_2 a_1); the last
     equivalence also witnesses Jacobson's lemma."""
     if fam.pattern is not Pattern.NILPOTENT_PAIR:
         raise InvalidDataError("needs a nilpotent pair")
-    tol = _scaled_tol(fam, base_tol)
+    tol = _scaled_tol(fam)
     a1, a2 = fam.matrices
     total = _nonzero(eigenvalues(a1 + a2), tol)
     sq = total ** 2
     p12 = _nonzero(eigenvalues(a1 @ a2), tol)
     p21 = _nonzero(eigenvalues(a2 @ a1), tol)
-    tol2 = _scaled_tol([a1 @ a2], base_tol)
+    tol2 = _scaled_tol([a1 @ a2])
     return (spectra_match(sq, p12, tol2)
             and spectra_match(sq, p21, tol2)
             and spectra_match(p12, p21, tol2))
 
 
-def check_RSM(fam: AnnihilationFamily,
-              base_tol: float = SET_MATCH_TOL) -> bool:
+def check_RSM(fam: AnnihilationFamily) -> bool:
     """Cyclic pattern: nonzero sigma(sum a_j) = {lambda: lambda^n in
     sigma(prod a_j)}, with rotation invariance and the cyclic-shift
     (Jacobson) variants of the product."""
     if fam.pattern is not Pattern.CYCLIC:
         raise InvalidDataError("needs a cyclic family")
     n = fam.n
-    tol = _scaled_tol(fam, base_tol)
+    tol = _scaled_tol(fam)
 
     def shifted_product(k):
         prod = np.eye(fam.order, dtype=complex)
@@ -299,7 +292,7 @@ def check_RSM(fam: AnnihilationFamily,
         return prod
 
     prod0 = shifted_product(0)
-    tolp = _scaled_tol([prod0], base_tol)
+    tolp = _scaled_tol([prod0])
     spec0 = _nonzero(eigenvalues(prod0), tolp)
     # Genuine nonzero eigenvalues lambda of the sum satisfy lambda^n in
     # the nonzero spectrum of the product, so |lambda| is bounded below

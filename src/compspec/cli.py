@@ -13,6 +13,10 @@ Symbol documents are plain JSON with complex numbers as [re, im] pairs::
 document, reduce it once with :func:`compspec.symbol.analyze` and write
 one projection of that analysis.
 
+There are no tolerance flags: the thresholds ``EPS`` = 1e-9 and
+``MATCH_TOL`` = 1e-7 of :mod:`compspec.config` are what an answer is
+certified against, so they are fixed.
+
 Exit codes: 0 success, 1 hard error (nothing written), 2 out-of-scope
 rejection (a report with the rejection certificate is still emitted),
 64 usage error.
@@ -27,7 +31,6 @@ import sys
 import numpy as np
 
 from .algebra_lab import eigenvalues, run_checker, truncation_from_coeffs
-from .config import Tolerances
 from .errors import CompspecError, NotCertifiedError, NotInScopeError
 from .mobius import SecondOrderData
 from .render import region_svg
@@ -53,27 +56,42 @@ def _c(z) -> list:
     return [z.real, z.imag]
 
 
+def _is_real(x) -> bool:
+    # JSON booleans load as bool, a subclass of int
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _parse_c(v, path: str) -> complex:
     if (not isinstance(v, (list, tuple)) or len(v) != 2
-            or not all(isinstance(x, (int, float)) for x in v)):
+            or not all(_is_real(x) for x in v)):
         raise CompspecError(f"{path}: expected an [re, im] pair, got {v!r}")
     return complex(v[0], v[1])
 
 
+def _parse_real(v, path: str) -> float:
+    if not _is_real(v):
+        raise CompspecError(f"{path}: expected a number, got {v!r}")
+    return float(v)
+
+
+def _parse_list(v, path: str) -> list:
+    if not isinstance(v, list):
+        raise CompspecError(f"{path}: expected a list, got {v!r}")
+    return v
+
+
 def _parse_coeffs(doc: dict, key: str) -> tuple:
-    raw = doc.get(key)
-    if not isinstance(raw, list):
-        raise CompspecError(f"{key}: expected a list of [re, im] pairs")
+    raw = _parse_list(doc.get(key), key)
     return tuple(_parse_c(v, f"{key}[{i}]") for i, v in enumerate(raw))
 
 
-def _parse_symbol(doc, tol: Tolerances):
+def _parse_symbol(doc):
     if not isinstance(doc, dict):
         raise CompspecError("document root must be a JSON object")
     kind = doc.get("kind")
     if kind == "rational":
         return RationalSymbol(_parse_coeffs(doc, "num"),
-                              _parse_coeffs(doc, "den"), tol=tol)
+                              _parse_coeffs(doc, "den"))
     if kind == "boundary-data":
         raw_pts = doc.get("points")
         if not isinstance(raw_pts, list) or not raw_pts:
@@ -86,8 +104,7 @@ def _parse_symbol(doc, tol: Tolerances):
                 _parse_c(p.get("zeta"), f"points[{i}].zeta"),
                 _parse_c(p.get("value"), f"points[{i}].value"),
                 _parse_c(p.get("d1"), f"points[{i}].d1"),
-                _parse_c(p.get("d2"), f"points[{i}].d2"),
-                tol=tol))
+                _parse_c(p.get("d2"), f"points[{i}].d2")))
         raw_dw = doc.get("denjoy_wolff")
         if not isinstance(raw_dw, dict):
             raise CompspecError("denjoy_wolff: expected an object")
@@ -98,8 +115,8 @@ def _parse_symbol(doc, tol: Tolerances):
         dw = DenjoyWolffRecord(
             _parse_c(raw_dw.get("omega"), "denjoy_wolff.omega"),
             _parse_c(raw_dw.get("derivative"), "denjoy_wolff.derivative"),
-            location, tol=tol)
-        return BoundaryDataSymbol(tuple(pts), dw, tol=tol)
+            location)
+        return BoundaryDataSymbol(tuple(pts), dw)
     raise CompspecError(
         f'kind: expected "rational" or "boundary-data", got {kind!r}')
 
@@ -120,24 +137,26 @@ def _region_json(r: SpectralRegion) -> list:
     return [_primitive_json(p) for p in r.primitives]
 
 
-def _region_from_json(prims: list, tol: Tolerances) -> SpectralRegion:
+def _region_from_json(prims: list) -> SpectralRegion:
     out = []
     for i, p in enumerate(prims):
         if not isinstance(p, dict) or len(p) != 1:
             raise CompspecError(f"primitives[{i}]: expected a one-key object")
         key, val = next(iter(p.items()))
+        path = f"primitives[{i}].{key}"
         if key == "disk":
-            out.append(Disk(float(val)))
+            out.append(Disk(_parse_real(val, path)))
         elif key == "spiral":
-            out.append(Spiral(_parse_c(val, f"primitives[{i}].spiral")))
+            out.append(Spiral(_parse_c(val, path)))
         elif key == "points":
-            out.append(Points(tuple(_parse_c(v, f"primitives[{i}].points[{j}]")
-                                    for j, v in enumerate(val))))
+            vals = _parse_list(val, path)
+            out.append(Points(tuple(_parse_c(v, f"{path}[{j}]")
+                                    for j, v in enumerate(vals))))
         elif key == "tail":
-            out.append(GeometricTail(_parse_c(val, f"primitives[{i}].tail")))
+            out.append(GeometricTail(_parse_c(val, path)))
         else:
             raise CompspecError(f"primitives[{i}]: unknown primitive {key!r}")
-    return region(*out, tol=tol)
+    return region(*out)
 
 
 def _cert_json(cert) -> dict:
@@ -202,10 +221,6 @@ def _load_doc(path: str) -> dict:
         raise CompspecError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _tolerances(args) -> Tolerances:
-    return Tolerances(eps=args.tol, match_tol=args.match_tol)
-
-
 def _rejection_doc(doc, reason: str, cert=None) -> dict:
     out = {"schema": SCHEMA, "input": doc, "accepted": False,
            "reason": reason}
@@ -221,10 +236,9 @@ def _project(args, projection) -> int:
     Out-of-scope and uncertified symbols are rejected with exit 2; the
     rejection carries the certificate once the reduction has it."""
     doc = _load_doc(args.input)
-    tol = _tolerances(args)
     a = None
     try:
-        a = analyze(_parse_symbol(doc, tol))
+        a = analyze(_parse_symbol(doc))
         out = projection(doc, a)
     except (NotInScopeError, NotCertifiedError) as exc:
         cert = None if a is None else a.certificate
@@ -232,7 +246,7 @@ def _project(args, projection) -> int:
         return EXIT_REJECTED
     _emit(out, args.out)
     if getattr(args, "svg", None):
-        r = _region_from_json(out["full"], tol)
+        r = _region_from_json(out["full"])
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(region_svg(r, title="spectrum"))
     return EXIT_OK
@@ -306,7 +320,6 @@ def cmd_lemma_check(args) -> int:
 
 def cmd_truncate(args) -> int:
     doc = _load_doc(args.input)
-    tol = _tolerances(args)
     if not isinstance(doc, dict) or doc.get("kind") != "rational":
         raise CompspecError("truncate needs a rational symbol document")
     num, den = _parse_coeffs(doc, "num"), _parse_coeffs(doc, "den")
@@ -315,7 +328,7 @@ def cmd_truncate(args) -> int:
     out = {"schema": SCHEMA, "order": args.order,
            "eigenvalues": [_c(v) for v in vals]}
     try:
-        report = synthesize(RationalSymbol(num, den, tol=tol))
+        report = synthesize(RationalSymbol(num, den))
         out["predicted_full"] = _region_json(report.full)
         out["distances"] = [_region_distance(report.full, v) for v in vals]
     except CompspecError as exc:
@@ -326,12 +339,13 @@ def cmd_truncate(args) -> int:
 
 def cmd_render(args) -> int:
     doc = _load_doc(args.input)
-    tol = _tolerances(args)
+    if not isinstance(doc, dict):
+        raise CompspecError("report root must be a JSON object")
     prims = doc.get("full", doc.get("essential"))
     if prims is None:
         raise CompspecError(
             "report document has neither a 'full' nor an 'essential' region")
-    r = _region_from_json(prims, tol)
+    r = _region_from_json(_parse_list(prims, "region"))
     with open(args.svg, "w", encoding="utf-8") as fh:
         fh.write(region_svg(r, title="spectrum"))
     return EXIT_OK
@@ -349,10 +363,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(p, svg=False):
-    p.add_argument("--tol", type=float, default=1e-9,
-                   help="numerical tolerance (default 1e-9)")
-    p.add_argument("--match-tol", type=float, default=1e-7,
-                   help="point-matching tolerance (default 1e-7)")
     p.add_argument("--out", default=None, help="write JSON here, not stdout")
     if svg:
         p.add_argument("--svg", default=None, help="also write an SVG plot")
@@ -405,8 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="SVG plot from a report document")
     p.add_argument("input", help="report document (JSON)")
     p.add_argument("--svg", required=True, help="output SVG path")
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--match-tol", type=float, default=1e-7)
     p.set_defaults(func=cmd_render)
     return parser
 

@@ -2,33 +2,21 @@
 
 Two tolerance tiers are used throughout:
 
-* ``eps`` -- the general "within tolerance" threshold for algebraic
-  identities, normalization, and region membership (default 1e-9);
-* ``match_tol`` -- the coarser tolerance used when matching a computed
-  boundary image against a stored contact point (default 1e-7).
+* ``EPS`` -- the general "within tolerance" threshold for algebraic
+  identities, normalization, region membership, and the self-map, inner
+  and order-2 margin tests (1e-9);
+* ``MATCH_TOL`` -- the coarser tolerance used when matching a computed
+  boundary image against a stored contact point (1e-7).
 
 Boundary-orbit matching needs the two-tier scheme: contact points are
-polished to far better than ``match_tol``, and a guard in the dynamics
+polished to far better than ``MATCH_TOL``, and a guard in the dynamics
 layer requires contact points to be separated by at least ten times
-``match_tol`` so that matching is unambiguous.
+``MATCH_TOL`` so that matching is unambiguous.
+
+Both are constants, not settings: they are the thresholds a certified
+answer is certified against, so loosening them would turn a rejection
+into a wrong answer.
 """
 
-from dataclasses import dataclass
-
-DEFAULT_EPS = 1e-9
-DEFAULT_MATCH_TOL = 1e-7
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    eps: float = DEFAULT_EPS
-    match_tol: float = DEFAULT_MATCH_TOL
-
-    def __post_init__(self):
-        if not (0 < self.eps < 1):
-            raise ValueError("eps must lie in (0, 1)")
-        if not (0 < self.match_tol < 1):
-            raise ValueError("match_tol must lie in (0, 1)")
-
-
-DEFAULT_TOL = Tolerances()
+EPS = 1e-9
+MATCH_TOL = 1e-7

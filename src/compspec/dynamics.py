@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .config import EPS, MATCH_TOL
 from .errors import AmbiguousMatchError, InvalidDataError
 from .symbol import Analysis, Symbol, analyze, second_order_data
 
@@ -43,12 +44,12 @@ class OrbitPartition:
         return pts
 
 
-def _match(points, w, match_tol):
-    hits = [i for i, p in enumerate(points) if abs(p - w) <= match_tol]
+def _match(points, w):
+    hits = [i for i, p in enumerate(points) if abs(p - w) <= MATCH_TOL]
     if len(hits) > 1:
         raise AmbiguousMatchError(
             f"boundary image {w} matches several contact points; "
-            "decrease the matching tolerance or separate the data")
+            "separate the data")
     return hits[0] if hits else None
 
 
@@ -62,13 +63,13 @@ def cycle_multiplier(s: Symbol | Analysis, points) -> float:
 
 
 def partition(s: Symbol | Analysis) -> OrbitPartition:
-    # matching needs the contact points more than 10x match_tol apart,
+    # matching needs the contact points more than 10x MATCH_TOL apart,
     # which BoundaryDataSymbol enforces
     a = analyze(s)
     data = a.boundary.points
     points = [p.zeta for p in data]
     n = len(points)
-    succ = [_match(points, p.value, a.tol.match_tol) for p in data]
+    succ = [_match(points, p.value) for p in data]
 
     # walk each point at most n+1 steps: exit -> iterate-out, else find
     # the first repeat, which identifies the cycle the point reaches
@@ -106,7 +107,7 @@ def partition(s: Symbol | Analysis) -> OrbitPartition:
     for k, cyc in enumerate(cycles):
         pts = tuple(points[i] for i in cyc)
         mult = cycle_multiplier(a, pts)
-        if len(pts) > 1 and mult <= 1.0 + a.tol.eps:
+        if len(pts) > 1 and mult <= 1.0 + EPS:
             raise InvalidDataError(
                 f"cycle of length {len(pts)} with multiplier {mult} <= 1; "
                 "a second Denjoy-Wolff point would follow")

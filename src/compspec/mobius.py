@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
+from .config import EPS
 from .errors import DegenerateMapError, InvalidDataError, PoleError
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "halfplane_incarnation",
     "lfm_from_data",
     "is_disk_automorphism",
-    "mobius_from_matrix",
 ]
 
 #: Sentinel returned by :func:`fixed_points` for the identity map.
@@ -57,7 +56,6 @@ class MobiusMap:
     b: complex
     c: complex
     d: complex
-    tol: Tolerances = DEFAULT_TOL
 
     def __post_init__(self):
         a, b, c, d = (complex(self.a), complex(self.b),
@@ -72,7 +70,7 @@ class MobiusMap:
         coeffs = coeffs / pivot
         a, b, c, d = coeffs
         det = a * d - b * c
-        if abs(det) <= self.tol.eps:
+        if abs(det) <= EPS:
             raise DegenerateMapError(
                 f"determinant {det} below tolerance after normalization")
         object.__setattr__(self, "a", a)
@@ -91,45 +89,37 @@ class MobiusMap:
     def __call__(self, z: complex) -> complex:
         return evaluate(self, z)
 
-    def is_identity(self, tol: float | None = None) -> bool:
-        t = self.tol.eps if tol is None else tol
-        return (abs(self.a - self.d) <= t
-                and abs(self.b) <= t and abs(self.c) <= t)
+    def is_identity(self, tol: float = EPS) -> bool:
+        return (abs(self.a - self.d) <= tol
+                and abs(self.b) <= tol and abs(self.c) <= tol)
 
-    def close_to(self, other: "MobiusMap", tol: float | None = None) -> bool:
+    def close_to(self, other: "MobiusMap", tol: float = EPS) -> bool:
         """Coefficient-wise comparison of the canonical forms.
 
         Projective scale ambiguity remains when two coefficients tie in
         modulus, so we also try aligning the phases.
         """
-        t = self.tol.eps if tol is None else tol
         u = self.matrix.ravel()
         v = other.matrix.ravel()
-        if np.max(np.abs(u - v)) <= t:
+        if np.max(np.abs(u - v)) <= tol:
             return True
         k = int(np.argmax(np.abs(u)))
         if abs(v[k]) == 0:
             return False
         w = v * (u[k] / v[k])
-        return bool(np.max(np.abs(u - w)) <= t)
+        return bool(np.max(np.abs(u - w)) <= tol)
 
-
-IDENTITY_MAP = MobiusMap(1, 0, 0, 1)
 
 #: R(z) = (1 + z) / (1 - z), the disk -> right-half-plane conjugator.
 _R = MobiusMap(1, 1, -1, 1)
 _R_INV = MobiusMap(1, -1, 1, 1)
 
 
-def mobius_from_matrix(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> MobiusMap:
-    return MobiusMap(m[0, 0], m[0, 1], m[1, 0], m[1, 1], tol=tol)
-
-
 def compose(outer: MobiusMap, inner: MobiusMap) -> MobiusMap:
     """outer(inner(z)) via the 2x2 coefficient-matrix product."""
-    prod = outer.matrix @ inner.matrix
+    m = outer.matrix @ inner.matrix
     try:
-        return mobius_from_matrix(prod, tol=outer.tol)
+        return MobiusMap(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
     except DegenerateMapError as exc:
         raise DegenerateMapError("near-singular composition") from exc
 
@@ -137,7 +127,7 @@ def compose(outer: MobiusMap, inner: MobiusMap) -> MobiusMap:
 def evaluate(m: MobiusMap, z: complex) -> complex:
     den = m.c * z + m.d
     scale = max(abs(m.c) * abs(z), abs(m.d), 1.0)
-    if abs(den) <= m.tol.eps * scale:
+    if abs(den) <= EPS * scale:
         raise PoleError(f"evaluation at pole of Mobius map, z={z}")
     return (m.a * z + m.b) / den
 
@@ -145,7 +135,7 @@ def evaluate(m: MobiusMap, z: complex) -> complex:
 def derivative(m: MobiusMap, z: complex) -> complex:
     den = m.c * z + m.d
     scale = max(abs(m.c) * abs(z), abs(m.d), 1.0)
-    if abs(den) <= m.tol.eps * scale:
+    if abs(den) <= EPS * scale:
         raise PoleError(f"derivative at pole of Mobius map, z={z}")
     return m.det / den ** 2
 
@@ -153,7 +143,7 @@ def derivative(m: MobiusMap, z: complex) -> complex:
 def second_derivative(m: MobiusMap, z: complex) -> complex:
     den = m.c * z + m.d
     scale = max(abs(m.c) * abs(z), abs(m.d), 1.0)
-    if abs(den) <= m.tol.eps * scale:
+    if abs(den) <= EPS * scale:
         raise PoleError(f"second derivative at pole of Mobius map, z={z}")
     return -2.0 * m.c * m.det / den ** 3
 
@@ -168,19 +158,18 @@ def fixed_points(m: MobiusMap):
     """
     if m.is_identity():
         return IDENTITY_FIXED
-    eps = m.tol.eps
     # roots of c z^2 + (d - a) z - b = 0 (coefficients are normalized,
     # so the scale of this quadratic is O(1))
     A = m.c
     B = m.d - m.a
     C = -m.b
-    if abs(A) <= eps:
-        if abs(B) <= eps:
+    if abs(A) <= EPS:
+        if abs(B) <= EPS:
             # translation-like: only fixed point at infinity
             return [AT_INFINITY]
         return [-C / B, AT_INFINITY]
     disc = B * B - 4.0 * A * C
-    if abs(disc) <= eps:
+    if abs(disc) <= EPS:
         return [-B / (2.0 * A)]
     sq = cmath.sqrt(disc)
     # align sq with B so the addition below never cancels
@@ -217,31 +206,24 @@ class SecondOrderData:
     value: complex
     d1: complex
     d2: complex
-    tol: Tolerances = DEFAULT_TOL
 
     def __post_init__(self):
         z, v, d1, d2 = (complex(self.zeta), complex(self.value),
                         complex(self.d1), complex(self.d2))
         if not _finite(z, v, d1, d2):
             raise InvalidDataError("second-order data must be finite")
-        eps = self.tol.eps
-        if abs(abs(z) - 1.0) > eps:
+        if abs(abs(z) - 1.0) > EPS:
             raise InvalidDataError(f"|zeta| = {abs(z)} is not 1")
-        if abs(abs(v) - 1.0) > eps:
+        if abs(abs(v) - 1.0) > EPS:
             raise InvalidDataError(f"|value| = {abs(v)} is not 1")
         aligned = z * v.conjugate() * d1
-        if abs(aligned.imag) > eps * max(1.0, abs(aligned)) or aligned.real <= 0:
+        if abs(aligned.imag) > EPS * max(1.0, abs(aligned)) or aligned.real <= 0:
             raise InvalidDataError(
                 f"zeta*conj(value)*d1 = {aligned} is not real positive")
         object.__setattr__(self, "zeta", z)
         object.__setattr__(self, "value", v)
         object.__setattr__(self, "d1", d1)
         object.__setattr__(self, "d2", d2)
-
-    @property
-    def angular_derivative(self) -> float:
-        """|d1|, the (positive) angular derivative of the aligned map."""
-        return abs(self.d1)
 
     def contact_margin(self) -> float:
         """Re(1/|d1| + zeta*d2/(d1*|d1|) - 1).
@@ -254,11 +236,10 @@ class SecondOrderData:
         return (1.0 / mod + self.zeta * self.d2 / (self.d1 * mod) - 1.0).real
 
 
-def extract_data(m: MobiusMap, zeta: complex,
-                 tol: Tolerances = DEFAULT_TOL) -> SecondOrderData:
+def extract_data(m: MobiusMap, zeta: complex) -> SecondOrderData:
     """Second-order data of a linear-fractional map at a boundary point."""
     return SecondOrderData(zeta, evaluate(m, zeta), derivative(m, zeta),
-                           second_derivative(m, zeta), tol=tol)
+                           second_derivative(m, zeta))
 
 
 def lfm_from_data(data: SecondOrderData) -> MobiusMap:
@@ -271,22 +252,21 @@ def lfm_from_data(data: SecondOrderData) -> MobiusMap:
     ``A = 1/|d1|`` and ``B = 1/|d1| - 1 + zeta*d2/(d1*|d1|)``; then
     un-conjugate.  ``Re(B) > 0`` certifies a non-automorphic self-map.
     """
-    eps = data.tol.eps
     margin = data.contact_margin()
-    if margin <= eps:
+    if margin <= EPS:
         raise InvalidDataError(
             f"not order-2 contact data (margin {margin:.3e})")
     mod = abs(data.d1)
     A = 1.0 / mod
     B = 1.0 / mod - 1.0 + data.zeta * data.d2 / (data.d1 * mod)
-    sigma = MobiusMap(A, B, 0, 1, tol=data.tol)
+    sigma = MobiusMap(A, B, 0, 1)
     s = from_halfplane(sigma)
     # psi(z) = value * s(conj(zeta) * z)
     psi = compose(_scaling(data.value),
                   compose(s, _scaling(data.zeta.conjugate())))
     if is_disk_automorphism(psi):
         raise InvalidDataError("resulting map is a disk automorphism")
-    back = extract_data(psi, data.zeta, tol=data.tol)
+    back = extract_data(psi, data.zeta)
     err = max(abs(back.value - data.value),
               abs(back.d1 - data.d1),
               abs(back.d2 - data.d2))
@@ -297,18 +277,17 @@ def lfm_from_data(data: SecondOrderData) -> MobiusMap:
     return psi
 
 
-def is_disk_automorphism(m: MobiusMap, tol: float | None = None) -> bool:
+def is_disk_automorphism(m: MobiusMap) -> bool:
     """True iff m maps the unit circle onto itself.
 
     Fits the canonical automorphism form lambda (z - p)/(1 - conj(p) z)
     and compares coefficients; exact and cheap for linear-fractional
     maps, no boundary sampling.
     """
-    t = m.tol.eps if tol is None else tol
-    if abs(m.a) <= t:
+    if abs(m.a) <= EPS:
         return False
     p = -m.b / m.a
-    if abs(p) >= 1.0 - t:
+    if abs(p) >= 1.0 - EPS:
         return False
     # lambda from the image of a convenient circle point
     probe = 1.0 if abs(1.0 - p) > 0.5 else -1.0
@@ -316,7 +295,7 @@ def is_disk_automorphism(m: MobiusMap, tol: float | None = None) -> bool:
         lam = evaluate(m, probe) * (1.0 - p.conjugate() * probe) / (probe - p)
     except PoleError:
         return False
-    if abs(abs(lam) - 1.0) > 1e2 * t:
+    if abs(abs(lam) - 1.0) > 1e2 * EPS:
         return False
-    candidate = MobiusMap(lam, -lam * p, -p.conjugate(), 1, tol=m.tol)
-    return m.close_to(candidate, tol=1e2 * t)
+    candidate = MobiusMap(lam, -lam * p, -p.conjugate(), 1)
+    return m.close_to(candidate, tol=1e2 * EPS)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
+from .config import EPS, MATCH_TOL
 from .dynamics import OrbitPartition, partition
 from .errors import InvalidDataError, NotCertifiedError
 from .mobius import (MobiusMap, derivative, fixed_points,
@@ -81,13 +81,11 @@ class GeometricTail:
 @dataclass(frozen=True)
 class SpectralRegion:
     primitives: tuple
-    tol: Tolerances = DEFAULT_TOL
 
 
-def region(*primitives, tol: Tolerances = DEFAULT_TOL) -> SpectralRegion:
+def region(*primitives) -> SpectralRegion:
     """Canonical union: one largest disk, absorbed primitives dropped,
     points deduplicated.  Idempotent."""
-    eps = tol.eps
     disks, spirals, tails, points = [], [], [], []
     for p in primitives:
         if isinstance(p, SpectralRegion):
@@ -107,7 +105,7 @@ def region(*primitives, tol: Tolerances = DEFAULT_TOL) -> SpectralRegion:
                 raise InvalidDataError(f"unknown primitive {q!r}")
     out = []
     r = max((d.radius for d in disks), default=None)
-    if r is not None and r > eps:
+    if r is not None and r > EPS:
         out.append(Disk(r))
     else:
         # a zero-radius disk is just the origin
@@ -116,29 +114,29 @@ def region(*primitives, tol: Tolerances = DEFAULT_TOL) -> SpectralRegion:
         r = None
     # sup modulus of a spiral or tail is 1 (at t = 0 / k = 0)
     for sp in spirals:
-        if r is None or r < 1.0 - eps:
-            if not any(abs(sp.a - other.a) <= eps for other in out
+        if r is None or r < 1.0 - EPS:
+            if not any(abs(sp.a - other.a) <= EPS for other in out
                        if isinstance(other, Spiral)):
                 out.append(sp)
     for tl in tails:
-        if r is None or r < 1.0 - eps:
-            if abs(tl.base) <= eps:
+        if r is None or r < 1.0 - EPS:
+            if abs(tl.base) <= EPS:
                 points.extend([0.0 + 0.0j, 1.0 + 0.0j])
             elif not any(isinstance(o, GeometricTail)
-                         and abs(tl.base - o.base) <= eps for o in out):
+                         and abs(tl.base - o.base) <= EPS for o in out):
                 out.append(tl)
     kept: list[complex] = []
-    pre = SpectralRegion(tuple(out), tol=tol)
+    pre = SpectralRegion(tuple(out))
     for v in points:
         v = complex(v)
-        if any(abs(v - w) <= eps for w in kept):
+        if any(abs(v - w) <= EPS for w in kept):
             continue
         if out and contains(pre, v):
             continue
         kept.append(v)
     if kept:
         out.append(Points(tuple(sorted(kept, key=lambda z: (z.real, z.imag)))))
-    return SpectralRegion(tuple(out), tol=tol)
+    return SpectralRegion(tuple(out))
 
 
 def _spiral_contains(sp: Spiral, lam: complex, eps: float) -> bool:
@@ -160,8 +158,7 @@ def _spiral_contains(sp: Spiral, lam: complex, eps: float) -> bool:
     return False
 
 
-def contains(r: SpectralRegion, lam: complex) -> bool:
-    eps = r.tol.eps
+def contains(r: SpectralRegion, lam: complex, eps: float = EPS) -> bool:
     lam = complex(lam)
     for p in r.primitives:
         if isinstance(p, Disk):
@@ -231,19 +228,17 @@ def probe_points(r: SpectralRegion) -> np.ndarray:
 def region_equal(a: SpectralRegion, b: SpectralRegion,
                  tol: float = 1e-8) -> bool:
     """Two-sided probe containment at the given tolerance."""
-    ta = SpectralRegion(a.primitives, tol=Tolerances(eps=tol, match_tol=a.tol.match_tol))
-    tb = SpectralRegion(b.primitives, tol=Tolerances(eps=tol, match_tol=b.tol.match_tol))
-    return (all(contains(tb, z) for z in probe_points(a))
-            and all(contains(ta, z) for z in probe_points(b)))
+    return (all(contains(b, z, eps=tol) for z in probe_points(a))
+            and all(contains(a, z, eps=tol) for z in probe_points(b)))
 
 
 # ----------------------------------------------------------------------
 # Theorem dispatch for linear-fractional symbols
 # ----------------------------------------------------------------------
 
-def _eigenvalue_tail(base: complex, tol: Tolerances):
+def _eigenvalue_tail(base: complex):
     """{base^k: k >= 0} u {0}: degenerates to {0, 1} when base = 0."""
-    if abs(base) <= tol.eps:
+    if abs(base) <= EPS:
         return Points((0.0 + 0.0j, 1.0 + 0.0j))
     return GeometricTail(base)
 
@@ -253,53 +248,50 @@ def lft_spectra(psi: MobiusMap):
     non-automorphic linear-fractional symbol."""
     if is_disk_automorphism(psi):
         raise InvalidDataError("automorphic symbol is out of scope")
-    tol = psi.tol
-    eps = tol.eps
     fps = fixed_points(psi)
     if fps is IDENTITY_FIXED:
         raise InvalidDataError("identity symbol is an automorphism")
     finite = [p for p in fps if p is not AT_INFINITY]
     boundary = [p for p in finite if abs(abs(p) - 1.0) <= 1e-7]
     interior = [p for p in finite if abs(p) < 1.0 - 1e-7]
-    interior_dw = [p for p in interior if abs(derivative(psi, p)) < 1.0 - eps]
+    interior_dw = [p for p in interior if abs(derivative(psi, p)) < 1.0 - EPS]
     if interior_dw:
         omega = interior_dw[0]
         lam = derivative(psi, omega)
         if not boundary:
             # compact or power-compact
-            essential = region(Points((0.0 + 0.0j,)), tol=tol)
-            full = region(_eigenvalue_tail(lam, tol), Points((0.0 + 0.0j,)),
-                          tol=tol)
+            essential = region(Points((0.0 + 0.0j,)))
+            full = region(_eigenvalue_tail(lam), Points((0.0 + 0.0j,)))
             return full, essential
         zeta0 = boundary[0]
         dz = derivative(psi, zeta0).real
         radius = 1.0 / math.sqrt(dz)
-        essential = region(Disk(radius), tol=tol)
+        essential = region(Disk(radius))
         pts = [1.0 + 0.0j]
-        if abs(lam) > eps:
+        if abs(lam) > EPS:
             w = lam
-            while abs(w) > radius + eps:
+            while abs(w) > radius + EPS:
                 pts.append(w)
                 w *= lam
-        full = region(Disk(radius), Points(tuple(pts)), tol=tol)
+        full = region(Disk(radius), Points(tuple(pts)))
         return full, essential
     if not boundary:
         raise InvalidDataError("no Denjoy-Wolff candidate found")
     # boundary Denjoy-Wolff point: derivative real in (0, 1]
     cands = [p for p in boundary
              if abs(derivative(psi, p).imag) <= 1e-8
-             and 0 < derivative(psi, p).real <= 1.0 + eps]
+             and 0 < derivative(psi, p).real <= 1.0 + EPS]
     if not cands:
         raise InvalidDataError(
             f"no boundary fixed point with derivative in (0, 1]: {boundary}")
     omega = cands[0]
     dw = derivative(psi, omega).real
-    if dw < 1.0 - eps:
+    if dw < 1.0 - EPS:
         r = 1.0 / math.sqrt(dw)
-        both = region(Disk(r), tol=tol)
+        both = region(Disk(r))
         return both, both
     a = omega * second_derivative(psi, omega)
-    both = region(Spiral(a), tol=tol)
+    both = region(Spiral(a))
     return both, both
 
 
@@ -334,10 +326,9 @@ class SpectrumReport:
     notes: tuple = field(default_factory=tuple)
 
 
-def _dw_cycle_index(part: OrbitPartition, omega: complex,
-                    match_tol: float) -> int:
+def _dw_cycle_index(part: OrbitPartition, omega: complex) -> int:
     for i, c in enumerate(part.cycles):
-        if c.length == 1 and abs(c.points[0] - omega) <= match_tol:
+        if c.length == 1 and abs(c.points[0] - omega) <= MATCH_TOL:
             return i
     raise InvalidDataError(
         "boundary Denjoy-Wolff point is not a singleton cycle")
@@ -350,7 +341,6 @@ def synthesize(s: Symbol | Analysis) -> SpectrumReport:
     if not cert.accepted:
         raise NotCertifiedError(
             f"symbol fails order-2 certification at {[c.zeta for c in cert.failing]}")
-    tol = a.tol
     dw = a.boundary.denjoy_wolff
     part = partition(a)
     notes = []
@@ -363,9 +353,8 @@ def synthesize(s: Symbol | Analysis) -> SpectrumReport:
     if not part.cycles:
         # compact (empty contact set) or power-compact (all iterate-out)
         lam = dw.derivative
-        essential = region(Points((0.0 + 0.0j,)), tol=tol)
-        full = region(_eigenvalue_tail(lam, tol), Points((0.0 + 0.0j,)),
-                      tol=tol)
+        essential = region(Points((0.0 + 0.0j,)))
+        full = region(_eigenvalue_tail(lam), Points((0.0 + 0.0j,)))
         notes.append("compact" if not part.all_points else
                      "power-compact: all contact points iterate out")
         return SpectrumReport(essential, full, 0.0, tclass, part, dw,
@@ -375,14 +364,14 @@ def synthesize(s: Symbol | Analysis) -> SpectrumReport:
         r = rho(part)
         lam = dw.derivative
         pts = [1.0 + 0.0j]
-        if abs(lam) > tol.eps:
+        if abs(lam) > EPS:
             w = lam
             # N = least positive integer with |lam|^N <= rho
             while abs(w) > r:
                 pts.append(w)
                 w *= lam
-        essential = region(Disk(r), tol=tol)
-        full = region(Disk(r), Points(tuple(pts)), tol=tol)
+        essential = region(Disk(r))
+        full = region(Disk(r), Points(tuple(pts)))
         notes.append("interior Denjoy-Wolff point: disk of radius rho plus "
                      "finitely many eigenvalue powers")
         return SpectrumReport(essential, full, r, tclass, part, dw,
@@ -395,18 +384,18 @@ def synthesize(s: Symbol | Analysis) -> SpectrumReport:
             raise InvalidDataError(
                 f"cycle-derived rho {r_cycles} disagrees with "
                 f"1/sqrt(phi'(omega)) = {r}")
-        both = region(Disk(r), tol=tol)
+        both = region(Disk(r))
         notes.append("hyperbolic Denjoy-Wolff point: spectrum is the closed "
                      "disk of radius 1/sqrt(phi'(omega))")
         return SpectrumReport(both, both, r, tclass, part, dw, tuple(notes))
 
     # parabolic non-automorphism type
-    j_star = _dw_cycle_index(part, dw.omega, tol.match_tol)
+    j_star = _dw_cycle_index(part, dw.omega)
     r_star = rho_star(part, j_star)
     prims = [Spiral(dw.omega * second_order_data(a, dw.omega).d2)]
-    if r_star > tol.eps:
+    if r_star > EPS:
         prims.append(Disk(r_star))
-    both = region(*prims, tol=tol)
+    both = region(*prims)
     notes.append("parabolic fixed point: spiral plus disk of radius rho_*")
     return SpectrumReport(both, both, r_star, tclass, part, dw, tuple(notes))
 
@@ -441,4 +430,4 @@ def kms2t_essential_union(s: Symbol | Analysis) -> SpectralRegion:
     for data in a.boundary.points:
         _, essential = lft_spectra(lfm_from_data(data))
         prims.append(essential)
-    return region(*prims, tol=a.tol)
+    return region(*prims)

@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .config import DEFAULT_TOL, Tolerances
+from .config import EPS, MATCH_TOL
 from .errors import (InvalidDataError, NotInScopeError, RootFindingError)
 from .mobius import SecondOrderData
 
@@ -88,32 +88,30 @@ class RationalSymbol:
 
     num: tuple
     den: tuple
-    tol: Tolerances = DEFAULT_TOL
     _polys: _Polys = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = _trim(self.num)
         d = _trim(self.den)
-        eps = self.tol.eps
         if np.max(np.abs(d)) == 0:
             raise InvalidDataError("denominator is identically zero")
         if max(n.size, d.size) - 1 > DEGREE_CAP:
             raise InvalidDataError(f"degree exceeds cap {DEGREE_CAP}")
         if d.size > 1:
             roots = P.polyroots(d)
-            bad = roots[np.abs(roots) <= 1.0 + eps]
+            bad = roots[np.abs(roots) <= 1.0 + EPS]
             if bad.size:
                 raise InvalidDataError(
                     f"denominator roots in the closed disk: {bad}")
         theta = 2.0 * np.pi * np.arange(_BOUNDARY_GRID) / _BOUNDARY_GRID
         z = np.exp(1j * theta)
         vals = np.abs(P.polyval(z, n) / P.polyval(z, d))
-        if np.max(vals) > 1.0 + eps:
+        if np.max(vals) > 1.0 + EPS:
             raise InvalidDataError(
                 f"sup |phi| on the circle is {np.max(vals)} > 1")
         # nonconstant: numerator of phi' must not vanish identically
         u = P.polysub(P.polymul(P.polyder(n), d), P.polymul(n, P.polyder(d)))
-        if np.max(np.abs(u)) <= eps * max(1.0, np.max(np.abs(n)) * max(1.0, np.max(np.abs(d)))):
+        if np.max(np.abs(u)) <= EPS * max(1.0, np.max(np.abs(n)) * max(1.0, np.max(np.abs(d)))):
             raise InvalidDataError("symbol is constant")
         deg = max(n.size, d.size) - 1
         g = _trim(P.polysub(P.polymul(n, _reflect(n, deg)),
@@ -151,22 +149,20 @@ class DenjoyWolffRecord:
     omega: complex
     derivative: complex
     location: Location
-    tol: Tolerances = DEFAULT_TOL
 
     def __post_init__(self):
         omega = complex(self.omega)
         deriv = complex(self.derivative)
         loc = Location(self.location)
-        eps = self.tol.eps
         if loc is Location.INTERIOR:
-            if abs(omega) >= 1.0 - eps:
+            if abs(omega) >= 1.0 - EPS:
                 raise InvalidDataError("interior DW point has |omega| >= 1")
             if abs(deriv) >= 1.0:
                 raise InvalidDataError("interior DW derivative not < 1")
         else:
-            if abs(abs(omega) - 1.0) > eps:
+            if abs(abs(omega) - 1.0) > EPS:
                 raise InvalidDataError("boundary DW point not unimodular")
-            if abs(deriv.imag) > eps or not (0.0 < deriv.real <= 1.0 + eps):
+            if abs(deriv.imag) > EPS or not (0.0 < deriv.real <= 1.0 + EPS):
                 raise InvalidDataError(
                     f"boundary DW derivative {deriv} not in (0, 1]")
         object.__setattr__(self, "omega", omega)
@@ -181,7 +177,6 @@ class BoundaryDataSymbol:
 
     points: tuple
     denjoy_wolff: DenjoyWolffRecord
-    tol: Tolerances = DEFAULT_TOL
 
     def __post_init__(self):
         pts = tuple(self.points)
@@ -191,16 +186,16 @@ class BoundaryDataSymbol:
         zetas = [p.zeta for p in pts]
         for i in range(len(zetas)):
             for j in range(i + 1, len(zetas)):
-                if abs(zetas[i] - zetas[j]) <= 10 * self.tol.match_tol:
+                if abs(zetas[i] - zetas[j]) <= 10 * MATCH_TOL:
                     raise InvalidDataError("contact points not distinct")
         dw = self.denjoy_wolff
         if dw.location is Location.BOUNDARY:
-            match = [p for p in pts if abs(p.zeta - dw.omega) <= self.tol.match_tol]
+            match = [p for p in pts if abs(p.zeta - dw.omega) <= MATCH_TOL]
             if not match:
                 raise InvalidDataError(
                     "boundary DW point is not among the declared points")
             p = match[0]
-            if abs(p.value - p.zeta) > self.tol.match_tol:
+            if abs(p.value - p.zeta) > MATCH_TOL:
                 raise InvalidDataError("declared DW point is not fixed")
             if abs(p.d1 - dw.derivative) > 1e-6 * max(1.0, abs(p.d1)):
                 raise InvalidDataError(
@@ -270,10 +265,6 @@ class Analysis:
     certificate: S2Certificate
 
     @property
-    def tol(self) -> Tolerances:
-        return self.boundary.tol
-
-    @property
     def type_class(self) -> TypeClass:
         dw = self.boundary.denjoy_wolff
         data = (second_order_data(self, dw.omega)
@@ -291,16 +282,16 @@ def analyze(s: Symbol | Analysis) -> Analysis:
         return s
     if isinstance(s, BoundaryDataSymbol):
         return Analysis(s, _certificate(
-            s.points, [1] * len(s.points), s.tol,
+            s.points, [1] * len(s.points),
             "conditions (i), (ii), (iv): declared by the boundary-data record"))
     contacts = contact_points(s)
     points = tuple(_data_at(s, cp.zeta) for cp in contacts)
     certificate = _certificate(
-        points, [cp.multiplicity for cp in contacts], s.tol,
+        points, [cp.multiplicity for cp in contacts],
         "conditions (i), (ii), (iv): automatic for a rational symbol "
         "analytic on the closed disk")
     dw = _rational_denjoy_wolff(s, points)
-    return Analysis(BoundaryDataSymbol(points, dw, tol=s.tol), certificate)
+    return Analysis(BoundaryDataSymbol(points, dw), certificate)
 
 
 def _polish_contact(s: RationalSymbol, theta0: float) -> float:
@@ -343,12 +334,12 @@ def contact_points(s: RationalSymbol) -> list[ContactPoint]:
     polished.sort(key=lambda t: t[0])
     clusters: list[list] = []
     for theta, z in polished:
-        if clusters and abs(np.exp(1j * theta) - clusters[-1][0][1]) <= s.tol.match_tol:
+        if clusters and abs(np.exp(1j * theta) - clusters[-1][0][1]) <= MATCH_TOL:
             clusters[-1].append((theta, z))
         else:
             clusters.append([(theta, z)])
     # wrap-around cluster merge at theta ~ 0 / 2 pi
-    if len(clusters) > 1 and abs(clusters[0][0][1] - clusters[-1][0][1]) <= s.tol.match_tol:
+    if len(clusters) > 1 and abs(clusters[0][0][1] - clusters[-1][0][1]) <= MATCH_TOL:
         clusters[0].extend(clusters.pop())
     return [ContactPoint(c[0][1], len(c)) for c in clusters]
 
@@ -356,16 +347,15 @@ def contact_points(s: RationalSymbol) -> list[ContactPoint]:
 def _data_at(s: RationalSymbol, z: complex) -> SecondOrderData:
     value = s.value(z)
     value /= abs(value)  # unimodular up to roundoff by construction
-    return SecondOrderData(z, value, s.deriv(z), s.deriv2(z), tol=s.tol)
+    return SecondOrderData(z, value, s.deriv(z), s.deriv2(z))
 
 
-def _certificate(points, multiplicities, tol: Tolerances,
-                 note: str) -> S2Certificate:
+def _certificate(points, multiplicities, note: str) -> S2Certificate:
     """Per-contact-point order-2 checks; rejection is a value."""
     checks = []
     for data, mult in zip(points, multiplicities):
         margin = data.contact_margin()
-        order2 = margin > tol.eps
+        order2 = margin > EPS
         why = ("contact order exceeds 2" if mult > 2 else
                "" if order2 else "order-2 contact inequality fails")
         checks.append(PointCheck(data.zeta, margin, order2, mult, not why,
@@ -382,7 +372,6 @@ def _rational_denjoy_wolff(s: RationalSymbol, points) -> DenjoyWolffRecord:
         raise RootFindingError("fixed-point polynomial is degenerate")
     roots = P.polyroots(f)
     cands = roots[np.abs(roots) <= 1.0 + 1e-6]
-    eps = s.tol.eps
     interior = [complex(r) for r in cands if abs(r) < 1.0 - _INTERIOR_MARGIN]
     found = []
     for r in interior:
@@ -393,21 +382,19 @@ def _rational_denjoy_wolff(s: RationalSymbol, points) -> DenjoyWolffRecord:
             z -= step
             if abs(step) < 1e-15:
                 break
-        if abs(s.deriv(z)) < 1.0 - eps and abs(z) < 1.0 - eps:
-            found.append(DenjoyWolffRecord(z, s.deriv(z), Location.INTERIOR,
-                                           tol=s.tol))
+        if abs(s.deriv(z)) < 1.0 - EPS and abs(z) < 1.0 - EPS:
+            found.append(DenjoyWolffRecord(z, s.deriv(z), Location.INTERIOR))
     if len(found) > 1:
         raise RootFindingError(
             f"multiple interior DW candidates: {[f_.omega for f_ in found]}")
     if not found:
         # snap near-circle roots to fixed contact points
         for data in points:
-            if abs(data.value - data.zeta) <= s.tol.match_tol:
+            if abs(data.value - data.zeta) <= MATCH_TOL:
                 dp = data.d1
-                if abs(dp.imag) <= 1e-8 * max(1.0, abs(dp)) and 0 < dp.real <= 1.0 + eps:
+                if abs(dp.imag) <= 1e-8 * max(1.0, abs(dp)) and 0 < dp.real <= 1.0 + EPS:
                     found.append(DenjoyWolffRecord(
-                        data.zeta, min(dp.real, 1.0), Location.BOUNDARY,
-                        tol=s.tol))
+                        data.zeta, min(dp.real, 1.0), Location.BOUNDARY))
         if len(found) != 1:
             raise RootFindingError(
                 "no unique root satisfies the Denjoy-Wolff characterization; "
@@ -438,7 +425,7 @@ def contact_set(s: Symbol | Analysis) -> list[complex]:
 def second_order_data(s: Symbol | Analysis, zeta: complex) -> SecondOrderData:
     a = analyze(s)
     for p in a.boundary.points:
-        if abs(p.zeta - zeta) <= a.tol.match_tol:
+        if abs(p.zeta - zeta) <= MATCH_TOL:
             return p
     raise InvalidDataError(f"{zeta} is not a contact point")
 
@@ -450,20 +437,19 @@ def denjoy_wolff(s: Symbol | Analysis) -> DenjoyWolffRecord:
 
 def classify_type(dw: DenjoyWolffRecord,
                   data_at_omega: SecondOrderData | None = None) -> TypeClass:
-    eps = dw.tol.eps
     if dw.location is Location.INTERIOR:
         return TypeClass.DILATION
     deriv = dw.derivative.real
-    if deriv < 1.0 - eps:
+    if deriv < 1.0 - EPS:
         return TypeClass.HYPERBOLIC
     if data_at_omega is None:
         raise InvalidDataError(
             "parabolic classification needs second-order data at omega")
     a = dw.omega * data_at_omega.d2
-    if a.real < -eps:
+    if a.real < -EPS:
         raise InvalidDataError(
             f"violates parabolic-type test premise Re(omega*phi''(omega)) >= 0: {a}")
-    if a.real > eps or abs(a) <= eps:
+    if a.real > EPS or abs(a) <= EPS:
         return TypeClass.PARABOLIC_NON_AUTOMORPHISM
     # pure imaginary, nonzero; the C^{3+eps} smoothness needed for this
     # verdict cannot be checked from the data (see certificate notes)
@@ -477,12 +463,12 @@ def certify_s2(s: Symbol | Analysis) -> S2Certificate:
 
 def clark_atoms(s: Symbol | Analysis, alpha: complex) -> ClarkAtoms:
     alpha = complex(alpha)
-    if abs(abs(alpha) - 1.0) > s.tol.eps:
+    if abs(abs(alpha) - 1.0) > EPS:
         raise InvalidDataError("alpha must be unimodular")
     a = analyze(s)
     return ClarkAtoms(alpha, tuple(
         (p.zeta, 1.0 / abs(p.d1)) for p in a.boundary.points
-        if abs(p.value - alpha) <= a.tol.match_tol))
+        if abs(p.value - alpha) <= MATCH_TOL))
 
 
 def essential_norm_sq(s: Symbol | Analysis) -> float:

@@ -129,7 +129,7 @@ def test_run_checker_reports_failing_seed(monkeypatch):
     import compspec.algebra_lab as al
     calls = []
 
-    def flaky(fam, base_tol=1e-7):
+    def flaky(fam):
         calls.append(fam.seed)
         return len(calls) != 2  # fail exactly the second trial
 

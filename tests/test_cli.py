@@ -130,6 +130,13 @@ _POINT = {"zeta": [1, 0], "value": [1, 0], "d1": [0.5, 0], "d2": [0, 0]}
     ("analyze", {"kind": "boundary-data", "points": [_POINT],
                  "denjoy_wolff": {"omega": [1, 0], "derivative": [0.5, 0],
                                   "location": "sideways"}}),
+    # a JSON boolean is not a number: this must not read as z/2
+    ("analyze", {"kind": "rational", "num": [[0, 0], [0.5, 0]],
+                 "den": [[True, False]]}),
+    ("render", [1, 2]),
+    ("render", {"full": 5}),
+    ("render", {"full": [{"disk": "abc"}]}),
+    ("render", {"full": [{"points": 5}]}),
 ])
 def test_malformed_document_typed_error(command, doc, tmp_path, capsys):
     path = tmp_path / "bad.json"
@@ -138,6 +145,8 @@ def test_malformed_document_typed_error(command, doc, tmp_path, capsys):
     argv = [command, path, "--out", out]
     if command == "truncate":
         argv += ["--order", "4"]
+    if command == "render":
+        argv = [command, path, "--svg", out]
     assert run(argv) == 1
     assert not out.exists()
     err = capsys.readouterr().err.strip().splitlines()
@@ -147,6 +156,21 @@ def test_malformed_document_typed_error(command, doc, tmp_path, capsys):
 def test_usage_error_exit_64(capsys):
     assert run(["lemma-check", "--lemma", "bogus"]) == 64
     assert run(["analyze"]) == 64
+    # the certification tolerances are constants, not flags
+    golden = GOLDEN / "lollipop.symbol.json"
+    assert run(["analyze", golden, "--tol", "0.02"]) == 64
+    assert run(["analyze", golden, "--match-tol", "1e-3"]) == 64
+    capsys.readouterr()
+
+
+def test_non_self_map_is_a_hard_error(tmp_path, capsys):
+    # sup |0.3 + 0.71 z^2| on the circle is 1.01: not a self-map, and no
+    # flag can loosen the check into a certified "compact"
+    doc = tmp_path / "over.json"
+    doc.write_text('{"kind": "rational", "num": [[0.3,0],[0,0],[0.71,0]],'
+                   ' "den": [[1,0]]}')
+    assert run(["analyze", doc]) == 1
+    assert run(["analyze", doc, "--tol", "0.02"]) == 64
     capsys.readouterr()
 
 
