@@ -12,7 +12,7 @@ synthesis rests on.
 
 from .errors import (CompspecError, DegenerateMapError, PoleError,
                      InvalidDataError, NotInScopeError, NotCertifiedError,
-                     AmbiguousMatchError, RootFindingError)
+                     RootFindingError)
 from .mobius import (MobiusMap, SecondOrderData, compose, evaluate,
                      derivative, second_derivative, fixed_points,
                      halfplane_incarnation, lfm_from_data,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import EPS, MATCH_TOL
-from .errors import AmbiguousMatchError, InvalidDataError
+from .errors import InvalidDataError
 from .symbol import Analysis, Symbol, analyze, second_order_data
 
 __all__ = ["Cycle", "OrbitPartition", "partition", "cycle_multiplier"]
@@ -45,12 +45,9 @@ class OrbitPartition:
 
 
 def _match(points, w):
-    hits = [i for i, p in enumerate(points) if abs(p - w) <= MATCH_TOL]
-    if len(hits) > 1:
-        raise AmbiguousMatchError(
-            f"boundary image {w} matches several contact points; "
-            "separate the data")
-    return hits[0] if hits else None
+    """Index of the contact point within MATCH_TOL of w, or None."""
+    return next((i for i, p in enumerate(points) if abs(p - w) <= MATCH_TOL),
+                None)
 
 
 def cycle_multiplier(s: Symbol | Analysis, points) -> float:

@@ -26,10 +26,5 @@ class NotCertifiedError(CompspecError):
     symbol that fails certification."""
 
 
-class AmbiguousMatchError(CompspecError):
-    """A boundary image matched two stored contact points within the
-    matching tolerance."""
-
-
 class RootFindingError(CompspecError):
     """A root finder or eigensolver failed to converge."""

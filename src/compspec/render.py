@@ -15,6 +15,11 @@ __all__ = ["region_svg", "write_svg"]
 
 _SIZE = 480
 _HALF_SPAN = 1.6  # world units from center to edge
+# a tail power is drawn as a 6x6 px box: a point 2.7 px from its centre
+# lies in it with 0.3 px to spare for the 6-digit formatting and the
+# roundoff of base ** k, and boxes 5.4 px apart tile the plane
+_BOX_REACH = 2.7 * 2.0 * _HALF_SPAN / _SIZE   # in world units
+_TAIL_WALK = 1000   # boxes drawn along the tail before the rest is tiled
 
 _HEADER = (
     '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -37,6 +42,38 @@ def _px(z: complex) -> tuple[str, str]:
 
 def _px_len(r: float) -> str:
     return _fmt(r * _SIZE / (2.0 * _HALF_SPAN))
+
+
+def _box(w: complex) -> str:
+    x, y = _px(w)
+    return (f'<rect x="{_fmt(float(x) - 3)}" y="{_fmt(float(y) - 3)}" '
+            'width="6" height="6" fill="none" stroke="#338833" '
+            'stroke-width="1.2"/>\n')
+
+
+def _tail_centres(base: complex) -> list[complex]:
+    """Centres of boxes that cover every power base^k with modulus above
+    1e-12, at most _TAIL_WALK plus a fixed lattice whatever the base.
+
+    Since |base^i - 1| <= i |log base| for |base| < 1, a box at w covers
+    w * base^i for every i <= _BOX_REACH / (|w| |log base|), so the walk
+    jumps to the first power it may not cover.  If the walk would draw
+    more than _TAIL_WALK boxes, the powers left lie in the disk of the
+    current modulus, and a lattice of boxes covering that disk replaces
+    them."""
+    step = abs(cmath.log(base)) if base else math.inf
+    centres, w, k = [], 1.0 + 0.0j, 0
+    while abs(w) > 1e-12:
+        if len(centres) == _TAIL_WALK:
+            h = 2.0 * _BOX_REACH
+            n = int(abs(w) / h) + 1
+            return centres + [
+                c for i in range(-n, n + 1) for j in range(-n, n + 1)
+                if abs(c := complex(i, j) * h) <= abs(w) + h]
+        centres.append(w)
+        k += int(_BOX_REACH / (abs(w) * step)) + 1
+        w = base ** k
+    return centres
 
 
 def region_svg(r: SpectralRegion, title: str = "spectrum") -> str:
@@ -69,21 +106,8 @@ def region_svg(r: SpectralRegion, title: str = "spectrum") -> str:
             f'<polyline points="{" ".join(coords)}" fill="none" '
             'stroke="#aa3333" stroke-width="2"/>\n')
     for tl in tails:
-        w = 1.0 + 0.0j
-        while abs(w) > 1e-12:
-            x, y = _px(w)
-            parts.append(
-                f'<rect x="{_fmt(float(x) - 3)}" y="{_fmt(float(y) - 3)}" '
-                'width="6" height="6" fill="none" stroke="#338833" '
-                'stroke-width="1.2"/>\n')
-            if abs(tl.base) == 0.0:
-                break
-            w *= tl.base
-        x, y = _px(0.0 + 0.0j)
-        parts.append(
-            f'<rect x="{_fmt(float(x) - 3)}" y="{_fmt(float(y) - 3)}" '
-            'width="6" height="6" fill="none" stroke="#338833" '
-            'stroke-width="1.2"/>\n')
+        parts.extend(_box(w) for w in _tail_centres(tl.base))
+        parts.append(_box(0.0 + 0.0j))
     for pts in points:
         for v in pts.values:
             x, y = _px(v)

@@ -22,6 +22,9 @@ Newton-polished on the tangency condition (the contact angle is a
 critical point of |phi(e^{i theta})|^2, so polishing the derivative of
 that function converges quadratically even though the contact itself is
 a double root).
+
+Scalar evaluation of phi, phi' and phi'' runs Horner's rule over Python
+complex coefficients: a numpy call per point costs more than its arithmetic.
 """
 
 from __future__ import annotations
@@ -77,8 +80,6 @@ class _Polys(NamedTuple):
     """Coefficients of phi = N/D, built once with the symbol."""
     n: np.ndarray
     d: np.ndarray
-    u: np.ndarray   # phi' = U / D^2
-    v: np.ndarray   # phi'' = V / D^3
     g: np.ndarray   # the reflection polynomial G
 
 
@@ -89,6 +90,8 @@ class RationalSymbol:
     num: tuple
     den: tuple
     _polys: _Polys = field(init=False, repr=False, compare=False)
+    # D, N, U, V, highest power first (phi' = U/D^2, phi'' = V/D^3)
+    _desc: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = _trim(self.num)
@@ -123,20 +126,33 @@ class RationalSymbol:
                       P.polymul(P.polymul(u, P.polyder(d)), [2.0]))
         object.__setattr__(self, "num", tuple(n))
         object.__setattr__(self, "den", tuple(d))
-        object.__setattr__(self, "_polys", _Polys(n, d, u, v, g))
+        object.__setattr__(self, "_polys", _Polys(n, d, g))
+        object.__setattr__(self, "_desc", tuple(
+            tuple(a[::-1].tolist()) for a in (d, n, u, v)))
 
     # -- evaluation -------------------------------------------------
+    def _ratio(self, k: int, z: complex) -> complex:
+        """The (k-1)-th derivative of phi at z: _desc[k] / D^k, with both
+        polynomials evaluated by Horner's rule."""
+        z = complex(z)
+        d = top = 0j
+        for c in self._desc[0]:
+            d = d * z + c
+        for c in self._desc[k]:
+            top = top * z + c
+        den = d if k == 1 else d * d if k == 2 else d * d * d
+        if den == 0:
+            raise RootFindingError(f"denominator of phi vanishes at {z}")
+        return top / den
+
     def value(self, z: complex) -> complex:
-        p = self._polys
-        return complex(P.polyval(z, p.n) / P.polyval(z, p.d))
+        return self._ratio(1, z)
 
     def deriv(self, z: complex) -> complex:
-        p = self._polys
-        return complex(P.polyval(z, p.u) / P.polyval(z, p.d) ** 2)
+        return self._ratio(2, z)
 
     def deriv2(self, z: complex) -> complex:
-        p = self._polys
-        return complex(P.polyval(z, p.v) / P.polyval(z, p.d) ** 3)
+        return self._ratio(3, z)
 
 
 class Location(str, enum.Enum):

@@ -1,7 +1,11 @@
+import cmath
 import json
 import math
 import pathlib
+import re
+import time
 
+import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
 
@@ -38,6 +42,22 @@ def test_golden_reports(name, tmp_path):
     assert got == want
 
 
+def _count_calls(monkeypatch, *targets):
+    """Wrap each (module, name) so that its calls are counted."""
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in targets:
+        calls[name] = 0
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
 @pytest.mark.parametrize("name,polyroots,contact_points", [
     ("lollipop", 3, 1), ("two_cycle", 3, 1), ("eight_point", 3, 1),
     ("square_root", 0, 0)])
@@ -45,23 +65,24 @@ def test_analyze_reduces_the_symbol_once(name, polyroots, contact_points,
                                          monkeypatch, capsys):
     # one root-finding each for the denominator, the reflection
     # polynomial and the fixed-point polynomial; nothing is recomputed
-    calls = {"polyroots": 0, "contact_points": 0}
-
-    def counted(key, fn):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(npoly, "polyroots",
-                        counted("polyroots", npoly.polyroots))
-    monkeypatch.setattr(compspec.symbol, "contact_points",
-                        counted("contact_points",
-                                compspec.symbol.contact_points))
+    calls = _count_calls(monkeypatch, (npoly, "polyroots"),
+                         (compspec.symbol, "contact_points"))
     assert run(["analyze", GOLDEN / f"{name}.symbol.json"]) == 0
     capsys.readouterr()
     assert calls == {"polyroots": polyroots,
                      "contact_points": contact_points}
+
+
+@pytest.mark.parametrize("name,polyval", [
+    ("lollipop", 2), ("two_cycle", 2), ("eight_point", 2),
+    ("square_root", 0)])
+def test_scalar_evaluation_makes_no_polyval_call(name, polyval, monkeypatch,
+                                                 capsys):
+    # N and D on the self-map grid; every scalar evaluation is Horner's
+    calls = _count_calls(monkeypatch, (npoly, "polyval"))
+    assert run(["analyze", GOLDEN / f"{name}.symbol.json"]) == 0
+    capsys.readouterr()
+    assert calls == {"polyval": polyval}
 
 
 def test_report_round_trips_losslessly(tmp_path):
@@ -263,6 +284,34 @@ def test_render_matches_analyze_svg(tmp_path):
     svg2 = tmp_path / "b.svg"
     assert run(["render", report, "--svg", svg2]) == 0
     assert svg1.read_bytes() == svg2.read_bytes()
+
+
+@pytest.mark.parametrize("lam", [0.9999999, 0.9999999 * cmath.exp(2j)],
+                         ids=["real", "rotating"])
+def test_tail_svg_is_bounded(lam, tmp_path):
+    # phi(z) = lam z: its spectrum holds every power lam^k, of which
+    # ~2.8e8 have modulus above 1e-12; the second base turns them into
+    # a dense spiral, so the boxes must tile the disk
+    sym = tmp_path / "dilation.symbol.json"
+    sym.write_text(json.dumps({"kind": "rational", "den": [[1, 0]],
+                               "num": [[0, 0], [lam.real, lam.imag]]}))
+    svg = tmp_path / "tail.svg"
+    start = time.perf_counter()
+    assert run(["analyze", sym, "--svg", svg]) == 0
+    assert time.perf_counter() - start < 2.0
+    text = svg.read_text()
+    assert len(text) < 1_000_000
+    boxes = np.array(re.findall(r'<rect x="([^"]+)" y="([^"]+)" width="6" '
+                                'height="6"', text), dtype=float)
+    base = complex(lam)
+    k_end = math.log(1e-12) / math.log(abs(base))
+    ks = np.unique(np.concatenate([np.arange(2000),
+                                   np.geomspace(1, k_end, 2000).astype(int)]))
+    for k in ks:
+        w = base ** int(k)  # drawn at 150 px per unit about (240, 240)
+        x, y = 240 + 150 * w.real, 240 - 150 * w.imag
+        assert np.any((boxes[:, 0] <= x) & (x <= boxes[:, 0] + 6)
+                      & (boxes[:, 1] <= y) & (y <= boxes[:, 1] + 6)), k
 
 
 def test_render_square_root_single_disk(tmp_path):

@@ -1,14 +1,18 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
 from compspec import (BoundaryDataSymbol, DenjoyWolffRecord, Location,
                       RationalSymbol, SecondOrderData, TypeClass,
                       certify_s2, clark_atoms, classify_type, contact_points,
                       contact_set, denjoy_wolff, essential_norm_sq,
                       second_order_data)
-from compspec.errors import InvalidDataError, NotInScopeError
+from compspec.errors import (InvalidDataError, NotInScopeError,
+                             RootFindingError)
+from compspec.symbol import DEGREE_CAP
 from conftest import nearest
 
 
@@ -89,6 +93,48 @@ def test_rational_derivs_match_finite_differences(eight_point):
     d2 = (s.value(z + h) - 2 * s.value(z) + s.value(z - h)) / h ** 2
     assert abs(s.deriv(z) - d1) < 1e-7
     assert abs(s.deriv2(z) - d2) < 1e-4
+
+
+def _numpy_reference(s, z):
+    """phi, phi', phi'' by numpy polyval on the ascending coefficients."""
+    n, d = np.array(s.num), np.array(s.den)
+    u = P.polysub(P.polymul(P.polyder(n), d), P.polymul(n, P.polyder(d)))
+    v = P.polysub(P.polymul(P.polyder(u), d),
+                  P.polymul(P.polymul(u, P.polyder(d)), [2.0]))
+    dz = P.polyval(z, d)
+    return (P.polyval(z, n) / dz, P.polyval(z, u) / dz ** 2,
+            P.polyval(z, v) / dz ** 3)
+
+
+def _random_symbol(rng, degree):
+    """N/D with |D| > sum |N coefficients| on the closed disk."""
+    n = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+    d = 0.3 * (rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1))
+    d[0] = 1.0 + np.abs(n).sum() + np.abs(d[1:]).sum()
+    return RationalSymbol(tuple(n), tuple(d))
+
+
+def test_scalar_evaluation_matches_numpy(lollipop, two_cycle, eight_point):
+    rng = np.random.default_rng(7)
+    symbols = [lollipop, two_cycle, eight_point] + [
+        _random_symbol(rng, k) for k in (1, 2, 3, 8, 17, 32, DEGREE_CAP)]
+    points = [0j] + [r * cmath.exp(1j * t) for r in (0.4, 0.9, 1.0)
+                     for t in np.linspace(0.0, 2.0 * math.pi, 11)]
+    for s in symbols:
+        for z in points:
+            want = _numpy_reference(s, np.complex128(z))
+            for arg in (z, np.complex128(z)):
+                got = (s.value(arg), s.deriv(arg), s.deriv2(arg))
+                for g, w in zip(got, want):
+                    assert type(g) is complex
+                    assert abs(g - w) <= 1e-13 * abs(w)
+
+
+def test_evaluation_at_a_pole_is_a_typed_error():
+    s = RationalSymbol((1,), (2, -1))  # 1/(2 - z), pole at z = 2
+    for f in (s.value, s.deriv, s.deriv2):
+        with pytest.raises(RootFindingError, match="vanishes"):
+            f(2.0)
 
 
 def test_second_order_data_unknown_point(lollipop):
