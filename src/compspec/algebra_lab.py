@@ -163,10 +163,10 @@ def make_family(pattern: Pattern | str, n: int, order: int,
 
 
 def _verify_products(fam: AnnihilationFamily):
+    norms = [np.linalg.norm(m) for m in fam.matrices]
     for i, j in _required_zero_pairs(fam.pattern, fam.n):
-        a, b = fam.matrices[i], fam.matrices[j]
-        scale = max(1.0, np.linalg.norm(a) * np.linalg.norm(b))
-        err = np.linalg.norm(a @ b)
+        scale = max(1.0, norms[i] * norms[j])
+        err = np.linalg.norm(fam.matrices[i] @ fam.matrices[j])
         if err > 1e-10 * scale:
             raise RootFindingError(
                 f"construction bug: product a_{i} a_{j} has norm {err}")

@@ -13,6 +13,10 @@ Symbol documents are plain JSON with complex numbers as [re, im] pairs::
 document, reduce it once with :func:`compspec.symbol.analyze` and write
 one projection of that analysis.
 
+:func:`main` parses ``argv`` with one parser built on its first call and
+reused for the rest of the process, so it can be called repeatedly
+in-process at the cost of ``parse_args`` alone.
+
 There are no tolerance flags: the thresholds ``EPS`` = 1e-9 and
 ``MATCH_TOL`` = 1e-7 of :mod:`compspec.config` are what an answer is
 certified against, so they are fixed.
@@ -25,6 +29,7 @@ rejection (a report with the rejection certificate is still emitted),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -419,10 +424,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args keeps no state on the parser: each call makes a fresh
+# namespace, and set_defaults bound the cmd_* functions once
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:

@@ -175,8 +175,14 @@ def contains(r: SpectralRegion, lam: complex, eps: float = EPS) -> bool:
                 if abs(lam - 1.0) < eps:
                     return True
                 continue
-            w = 1.0 + 0.0j
-            while abs(w) >= eps:
+            if not cmath.isfinite(lam):
+                continue
+            # only powers with |b|^k in (|lam| - eps, |lam| + eps) can lie
+            # within eps of lam, and |b|^k decreases with k
+            k = max(0, math.floor(math.log(abs(lam) + eps)
+                                  / math.log(abs(b))))
+            w = b ** k
+            while abs(w) >= eps and abs(w) > abs(lam) - eps:
                 if abs(lam - w) < eps:
                     return True
                 w *= b

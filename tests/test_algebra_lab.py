@@ -3,15 +3,15 @@ import pytest
 from numpy.polynomial import polynomial as P
 
 from compspec import RationalSymbol
-from compspec.algebra_lab import (Pattern, check_LIP,
+from compspec.algebra_lab import (AnnihilationFamily, Pattern, check_LIP,
                                   check_RSM, check_equality_CTA,
                                   check_equality_TA, check_inclusion_FL,
                                   check_n2c, check_union_FLC,
                                   eigenpair_residuals, eigenvalues,
                                   make_family, run_checker, spectra_match,
                                   truncated_matrix, truncation_from_coeffs,
-                                  _required_zero_pairs)
-from compspec.errors import InvalidDataError
+                                  _required_zero_pairs, _verify_products)
+from compspec.errors import InvalidDataError, RootFindingError
 
 RNG = np.random.default_rng(99)
 
@@ -53,6 +53,14 @@ def test_required_products_vanish(pattern, n):
         a, b = fam.matrices[i], fam.matrices[j]
         assert np.linalg.norm(a @ b) < 1e-9 * max(
             1.0, np.linalg.norm(a) * np.linalg.norm(b))
+
+
+def test_nonzero_required_product_is_a_construction_bug():
+    shift = np.diag(np.ones(3, dtype=complex), 1)   # shift @ shift != 0
+    fam = AnnihilationFamily((shift, shift.T),
+                             Pattern.NILPOTENT_PAIR, seed=0)
+    with pytest.raises(RootFindingError, match="a_0 a_0"):
+        _verify_products(fam)
 
 
 def test_non_required_products_nonzero():

@@ -1,3 +1,4 @@
+import argparse
 import cmath
 import json
 import math
@@ -10,7 +11,7 @@ import numpy.polynomial.polynomial as npoly
 import pytest
 
 import compspec.symbol
-from compspec.cli import main
+from compspec.cli import build_parser, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -193,6 +194,48 @@ def test_non_self_map_is_a_hard_error(tmp_path, capsys):
     assert run(["analyze", doc]) == 1
     assert run(["analyze", doc, "--tol", "0.02"]) == 64
     capsys.readouterr()
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    golden = GOLDEN / "two_cycle.symbol.json"
+    assert run(["classify", golden]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run(["classify", golden]) == 0
+    capsys.readouterr()
+    assert built == []
+
+
+def test_calls_share_no_state(tmp_path, capsys):
+    golden = GOLDEN / "lollipop.symbol.json"
+    svg = tmp_path / "s.svg"
+    assert run(["analyze", golden, "--out", tmp_path / "a.json",
+                "--svg", svg]) == 0
+    svg.unlink()
+    assert run(["analyze", golden, "--out", tmp_path / "b.json"]) == 0
+    assert list(tmp_path.glob("*.svg")) == []
+
+    assert run(["analyze", golden, "--tol", "0.02"]) == 64
+    assert run(["classify", golden]) == 0
+
+    out = tmp_path / "lemma.json"
+    assert run(["lemma-check", "--lemma", "fl", "--n", "2", "--order", "6",
+                "--trials", "1", "--seed", "1", "--out", out]) == 0
+    assert run(["lemma-check", "--lemma", "fl", "--out", out]) == 0
+    summary = json.loads(out.read_text())
+    assert (summary["n"], summary["order"], summary["trials"],
+            summary["seed"]) == (3, 12, 50, 0)
+    capsys.readouterr()
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert build_parser() is not build_parser()
 
 
 def test_lemma_check_flag_ranges(capsys):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from compspec import (Disk, GeometricTail, MobiusMap, Points, Spiral,
                       lft_spectra, max_modulus, partition, region,
                       region_equal, rho, rho_star, spectral_radius_check,
                       synthesize)
+from compspec.config import EPS
 from compspec.errors import InvalidDataError, NotCertifiedError
 from compspec.spectrum import probe_points
 from conftest import ROOT12
@@ -123,6 +125,22 @@ def test_tail_membership():
         assert contains(t, (0.5j) ** k)
     assert contains(t, 0.0)
     assert not contains(t, 0.4)
+
+
+@pytest.mark.parametrize("base", [0.999, 0.999 * cmath.exp(2j)],
+                         ids=["real", "rotating"])
+def test_tail_membership_is_linear(base):
+    # ~27,600 powers lie above 1e-12; walking them all for every probe
+    # made region_equal quadratic (about a minute at base 0.999)
+    r = region(GeometricTail(base))
+    start = time.perf_counter()
+    assert region_equal(r, r)
+    assert not region_equal(r, region(GeometricTail(base * (1 + 1e-6))))
+    assert time.perf_counter() - start < 2.0
+    for k in range(0, 2000, 37):   # |base^k| > 0.13, so 10 eps apart
+        w = base ** k
+        assert contains(r, w)
+        assert not contains(r, w * (1 + 10 * EPS))
 
 
 def test_max_modulus():
