@@ -25,7 +25,7 @@ __all__ = [
     "Pattern", "AnnihilationFamily", "eigenvalues", "make_family",
     "spectra_match", "check_inclusion_FL", "check_union_FLC",
     "check_equality_TA", "check_equality_CTA", "check_LIP", "check_n2c",
-    "check_RSM", "run_checker", "truncated_matrix",
+    "check_RSM", "family_size", "run_checker", "truncated_matrix",
     "truncation_from_coeffs",
 ]
 
@@ -333,17 +333,23 @@ _CHECKERS = {
 }
 
 
+def family_size(lemma: str, n: int) -> int:
+    """The family size a named checker runs with: n, unless its pattern
+    fixes the size."""
+    if lemma not in _CHECKERS:
+        raise InvalidDataError(
+            f"unknown lemma {lemma!r}; choose from {sorted(_CHECKERS)}")
+    fixed_n = _CHECKERS[lemma][2]
+    return n if fixed_n is None else fixed_n
+
+
 def run_checker(lemma: str, n: int, order: int, trials: int,
                 master_seed: int):
     """Run a named checker over seeded trials; returns (all_pass,
     failing_seeds).  Per-trial seeds derive from the master seed so any
     failure is reproducible in isolation."""
-    if lemma not in _CHECKERS:
-        raise InvalidDataError(
-            f"unknown lemma {lemma!r}; choose from {sorted(_CHECKERS)}")
-    pattern, checker, fixed_n = _CHECKERS[lemma]
-    if fixed_n is not None:
-        n = fixed_n
+    n = family_size(lemma, n)
+    pattern, checker, _ = _CHECKERS[lemma]
     failing = []
     for t in range(trials):
         seed = int(np.random.default_rng([master_seed, t]).integers(2 ** 31))

@@ -35,7 +35,8 @@ import sys
 
 import numpy as np
 
-from .algebra_lab import eigenvalues, run_checker, truncation_from_coeffs
+from .algebra_lab import (eigenvalues, family_size, run_checker,
+                          truncation_from_coeffs)
 from .errors import CompspecError, NotCertifiedError, NotInScopeError
 from .mobius import SecondOrderData
 from .render import region_svg
@@ -314,9 +315,10 @@ def cmd_boundary(args) -> int:
 
 
 def cmd_lemma_check(args) -> int:
-    ok, failing = run_checker(args.lemma, args.n, args.order, args.trials,
+    n = family_size(args.lemma, args.n)
+    ok, failing = run_checker(args.lemma, n, args.order, args.trials,
                               args.seed)
-    out = {"schema": SCHEMA, "lemma": args.lemma, "n": args.n,
+    out = {"schema": SCHEMA, "lemma": args.lemma, "n": n,
            "order": args.order, "trials": args.trials, "seed": args.seed,
            "passed": ok, "failing_seeds": failing}
     _emit(out, args.out)

@@ -44,6 +44,22 @@ def compact_half():
     return RationalSymbol((0, 0.5), (1,))
 
 
+def count_calls(monkeypatch, *targets):
+    """Wrap each (owner, name) so that its calls are counted."""
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner, name in targets:
+        calls[name] = 0
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    return calls
+
+
 def nearest(points, target):
     return min(points, key=lambda p: abs(p - target))
 

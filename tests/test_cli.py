@@ -12,6 +12,7 @@ import pytest
 
 import compspec.symbol
 from compspec.cli import build_parser, main
+from conftest import count_calls
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -43,22 +44,6 @@ def test_golden_reports(name, tmp_path):
     assert got == want
 
 
-def _count_calls(monkeypatch, *targets):
-    """Wrap each (module, name) so that its calls are counted."""
-    calls = {}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for module, name in targets:
-        calls[name] = 0
-        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-    return calls
-
-
 @pytest.mark.parametrize("name,polyroots,contact_points", [
     ("lollipop", 3, 1), ("two_cycle", 3, 1), ("eight_point", 3, 1),
     ("square_root", 0, 0)])
@@ -66,8 +51,8 @@ def test_analyze_reduces_the_symbol_once(name, polyroots, contact_points,
                                          monkeypatch, capsys):
     # one root-finding each for the denominator, the reflection
     # polynomial and the fixed-point polynomial; nothing is recomputed
-    calls = _count_calls(monkeypatch, (npoly, "polyroots"),
-                         (compspec.symbol, "contact_points"))
+    calls = count_calls(monkeypatch, (npoly, "polyroots"),
+                        (compspec.symbol, "contact_points"))
     assert run(["analyze", GOLDEN / f"{name}.symbol.json"]) == 0
     capsys.readouterr()
     assert calls == {"polyroots": polyroots,
@@ -80,7 +65,7 @@ def test_analyze_reduces_the_symbol_once(name, polyroots, contact_points,
 def test_scalar_evaluation_makes_no_polyval_call(name, polyval, monkeypatch,
                                                  capsys):
     # N and D on the self-map grid; every scalar evaluation is Horner's
-    calls = _count_calls(monkeypatch, (npoly, "polyval"))
+    calls = count_calls(monkeypatch, (npoly, "polyval"))
     assert run(["analyze", GOLDEN / f"{name}.symbol.json"]) == 0
     capsys.readouterr()
     assert calls == {"polyval": polyval}
@@ -225,12 +210,16 @@ def test_calls_share_no_state(tmp_path, capsys):
     assert run(["classify", golden]) == 0
 
     out = tmp_path / "lemma.json"
-    assert run(["lemma-check", "--lemma", "fl", "--n", "2", "--order", "6",
+    assert run(["lemma-check", "--lemma", "cta", "--n", "5", "--order", "6",
                 "--trials", "1", "--seed", "1", "--out", out]) == 0
-    assert run(["lemma-check", "--lemma", "fl", "--out", out]) == 0
+    assert run(["lemma-check", "--lemma", "cta", "--out", out]) == 0
     summary = json.loads(out.read_text())
     assert (summary["n"], summary["order"], summary["trials"],
             summary["seed"]) == (3, 12, 50, 0)
+    # fl's pattern fixes the family size at 2, and the report says so
+    assert run(["lemma-check", "--lemma", "fl", "--n", "7", "--trials", "1",
+                "--out", out]) == 0
+    assert json.loads(out.read_text())["n"] == 2
     capsys.readouterr()
 
 

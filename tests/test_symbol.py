@@ -1,19 +1,25 @@
 import cmath
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from numpy.polynomial import polynomial as P
 
+import compspec
 from compspec import (BoundaryDataSymbol, DenjoyWolffRecord, Location,
-                      RationalSymbol, SecondOrderData, TypeClass,
+                      RationalSymbol, SecondOrderData, TypeClass, analyze,
                       certify_s2, clark_atoms, classify_type, contact_points,
                       contact_set, denjoy_wolff, essential_norm_sq,
                       second_order_data)
 from compspec.errors import (InvalidDataError, NotInScopeError,
                              RootFindingError)
-from compspec.symbol import DEGREE_CAP
-from conftest import nearest
+from compspec.symbol import DEGREE_CAP, _boundary_circle
+from conftest import count_calls, nearest
 
 
 # -- validation --------------------------------------------------------
@@ -130,6 +136,65 @@ def test_scalar_evaluation_matches_numpy(lollipop, two_cycle, eight_point):
                     assert abs(g - w) <= 1e-13 * abs(w)
 
 
+def _bits(c):
+    """The coefficient doubles of c without trailing zeros, as raw bits."""
+    c = np.ascontiguousarray(np.trim_zeros(np.asarray(c, dtype=complex), "b"))
+    return c.view(np.uint64)
+
+
+# exact zeros are half the draws: sparse symbols such as z^k / (a - b z^k)
+# exercise the trimming and the signs of zero that dense ones never reach
+_coef = st.one_of(st.just(0j), st.builds(complex, st.floats(-1.0, 1.0),
+                                         st.floats(-1.0, 1.0)))
+
+
+@st.composite
+def _coefficients(draw):
+    """num and den of degree 1-64, with a constant term of den that keeps
+    D zero-free on the closed disk and |phi| < 1."""
+    num = draw(st.lists(_coef, min_size=2, max_size=DEGREE_CAP + 1))
+    den = draw(st.lists(_coef, min_size=2, max_size=DEGREE_CAP + 1))
+    den[0] = 1.0 + sum(map(abs, num)) + sum(map(abs, den[1:]))
+    return num, den
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_coefficients())
+def test_construction_matches_numpy_polynomial(coefficients):
+    try:
+        s = RationalSymbol(*coefficients)
+    except InvalidDataError:
+        assume(False)  # a constant symbol
+    n, d = np.array(s.num), np.array(s.den)
+    deg = max(n.size, d.size) - 1
+
+    def reflect(c):
+        return np.conj(np.pad(c, (0, deg + 1 - c.size)))[::-1]
+
+    u = P.polysub(P.polymul(P.polyder(n), d), P.polymul(n, P.polyder(d)))
+    v = P.polysub(P.polymul(P.polyder(u), d),
+                  P.polymul(P.polymul(u, P.polyder(d)), [2.0]))
+    g = P.polysub(P.polymul(n, reflect(n)), P.polymul(d, reflect(d)))
+    # the same doubles, signed zeros included
+    assert np.array_equal(_bits(s._polys.g), _bits(g))
+    assert np.array_equal(_bits(s._desc[2][::-1]), _bits(u))
+    assert np.array_equal(_bits(s._desc[3][::-1]), _bits(v))
+
+
+def test_boundary_grid_is_built_once_on_first_use():
+    theta = 2.0 * np.pi * np.arange(4096) / 4096
+    assert np.array_equal(_bits(_boundary_circle()), _bits(np.exp(1j * theta)))
+    assert _boundary_circle() is _boundary_circle()
+    assert not _boundary_circle().flags.writeable
+    # importing builds nothing, so a process that makes no symbol (the
+    # lemma lab) does not hold the grid
+    code = ("import compspec.symbol as s; "
+            "assert s._boundary_circle.cache_info().currsize == 0")
+    src = pathlib.Path(compspec.__file__).parents[1]
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": str(src)})
+
+
 def test_evaluation_at_a_pole_is_a_typed_error():
     s = RationalSymbol((1,), (2, -1))  # 1/(2 - z), pole at z = 2
     for f in (s.value, s.deriv, s.deriv2):
@@ -164,6 +229,61 @@ def test_dw_declared(square_root):
     dw = denjoy_wolff(square_root)
     assert dw.location is Location.BOUNDARY
     assert abs(dw.omega - 1) < 1e-12 and abs(dw.derivative - 0.5) < 1e-12
+
+
+def test_parabolic_orbit_stops_in_the_horodisk(lollipop, monkeypatch):
+    # the whole 5000-step orbit took 5,034 evaluations
+    calls = count_calls(monkeypatch, (RationalSymbol, "_ratio"))
+    analyze(lollipop)
+    assert calls["_ratio"] <= 600
+
+
+def _full_orbit_reaches(s, omega):
+    """The orbit gate without a stop: 5000 steps from 0, or until a step
+    is below 1e-12, then within 1e-3 of omega."""
+    z = 0j
+    for _ in range(5000):
+        nxt = s.value(z)
+        if abs(nxt - z) < 1e-12:
+            z = nxt
+            break
+        z = nxt
+    return abs(z - omega) <= 1e-3
+
+
+def _parabolic(t, theta):
+    """((2-t)z + t) / (-tz + 2 + t) conjugated by the rotation e^{i theta}:
+    parabolic non-automorphism with Denjoy-Wolff point e^{i theta}."""
+    w = cmath.exp(1j * theta)
+    return RationalSymbol((t * w, 2 - t), (2 + t, -t / w)), w
+
+
+def _hyperbolic(derivative, t=1.4 + 0.1j):
+    """The hyperbolic family of perfbench/gen.py at degree 1: the Cayley
+    conjugate of w -> lam w + t, Denjoy-Wolff point 1, phi'(1) = 1/lam."""
+    lam = 1.0 / derivative
+    return RationalSymbol((lam + t - 1, lam - t + 1),
+                          (lam + t + 1, lam - t - 1)), 1.0
+
+
+_GATE_CASES = {
+    **{f"parabolic-{t}-{theta}": _parabolic(t, theta)
+       for t in (2, 1, 0.5, 0.1, 0.01) for theta in (0, 2.5)},
+    **{f"hyperbolic-{p}": _hyperbolic(p) for p in (0.5, 0.99, 0.999)},
+}
+
+
+@pytest.mark.parametrize("s,omega", _GATE_CASES.values(), ids=_GATE_CASES)
+def test_orbit_gate_matches_the_full_orbit(s, omega):
+    try:
+        dw = denjoy_wolff(s)
+    except RootFindingError as exc:
+        assert "iteration from 0" in str(exc)
+        accepted = False
+    else:
+        assert abs(dw.omega - omega) < 1e-9
+        accepted = True
+    assert accepted == _full_orbit_reaches(s, omega)
 
 
 def test_dw_record_validation():

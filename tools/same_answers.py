@@ -1,0 +1,194 @@
+"""Check that two source trees give the same answers on a fixed battery.
+
+Usage (from anywhere):
+
+    python3 tools/same_answers.py PARENT CHANGE
+
+PARENT and CHANGE are checkouts of this repository.  The battery of
+symbol documents is built once, from this checkout's
+``tests/golden`` and ``perfbench/gen.py``:
+
+* the four goldens;
+* ``gen.SWEEP`` and ``gen.PROJECTION_SLICE`` at seeds 1-5;
+* the parabolic maps ((2-t)z + t) / (-tz + 2 + t) for t in
+  logspace(-3, 1, 40), each conjugated by three rotations;
+* ``gen.hyperbolic`` at degrees 1-4 with phi'(1) in
+  {0.5, 0.9, 0.99, 0.999, 0.9999};
+* three rotations of the lollipop golden;
+* the order-4 map (-3/8, -3/4, 1/8);
+* bumps of degree 4-64 (``gen.bump``, three heights each).
+
+For each tree a worker process imports ``compspec`` from the tree's
+``src/`` and calls ``compspec.cli.main`` in-process for
+``analyze --out --svg``, ``classify``, ``boundary`` and ``spectrum`` on
+every document, in the same working-directory layout.  Every difference
+in exit code, stdout, stderr, report bytes or SVG bytes is printed; the
+exit status is 0 when there is none, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"   # before numpy is imported anywhere
+
+import cmath
+import contextlib
+import hashlib
+import io
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COMMANDS = ("analyze", "classify", "boundary", "spectrum")
+SEEDS = range(1, 6)
+ROTATIONS = (0.0, 2.5, -1.0)
+LOLLIPOP = ((-2, -1, 2), (-3, 0, 2))
+
+
+def _rational(num, den) -> dict:
+    return {"kind": "rational",
+            "num": [[complex(c).real, complex(c).imag] for c in num],
+            "den": [[complex(c).real, complex(c).imag] for c in den]}
+
+
+def _rotated(num, den, theta: float) -> dict:
+    """e^{i theta} phi(e^{-i theta} z), whose Denjoy-Wolff point and
+    contact set turn with it."""
+    w = cmath.exp(1j * theta)
+    return _rational([w * c / w ** k for k, c in enumerate(num)],
+                     [c / w ** k for k, c in enumerate(den)])
+
+
+def battery() -> dict[str, dict]:
+    """Every document of the battery, by a unique name."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import gen
+
+    docs = {}
+    for path in sorted((ROOT / "tests" / "golden").glob("*.symbol.json")):
+        docs[f"golden-{path.name.split('.')[0]}"] = json.loads(
+            path.read_text(encoding="utf-8"))
+    for label, specs in (("sweep", gen.SWEEP),
+                         ("slice", gen.PROJECTION_SLICE)):
+        for seed in SEEDS:
+            for i, (family, k, doc, _) in enumerate(gen.batch(specs, seed)):
+                docs[f"{label}-s{seed}-{i:03d}-{family}{k}"] = doc
+    for i in range(40):
+        t = 10.0 ** (-3.0 + 4.0 * i / 39)
+        for j, theta in enumerate(ROTATIONS):
+            docs[f"parabolic-{i:02d}-r{j}"] = _rotated(
+                (t, 2.0 - t), (2.0 + t, -t), theta)
+    for k in range(1, 5):
+        for p in (0.5, 0.9, 0.99, 0.999, 0.9999):
+            docs[f"hyperbolic{k}-{p}"] = gen.hyperbolic(
+                k, k / p, 1.4 + 0.1j)[0]
+    for j, theta in enumerate((0.7, 2.5, -1.9)):
+        docs[f"lollipop-r{j}"] = _rotated(*LOLLIPOP, theta)
+    docs["order4"] = _rational((-3 / 8, -3 / 4, 1 / 8), (1,))
+    for k in (4, 8, 16, 32, 48, 64):
+        for a in (1e-4, 2e-4, 3e-4):
+            docs[f"bump{k}-{a}"] = gen.bump(k, 1.0 + a)[0]
+    return docs
+
+
+def _call(main, argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _read(path: Path) -> str | None:
+    if not path.exists():
+        return None
+    data = path.read_bytes()
+    path.unlink()
+    return hashlib.sha256(data).hexdigest() if path.suffix == ".svg" \
+        else data.decode("utf-8")
+
+
+def worker(docdir: Path, result: Path) -> None:
+    """Run every command on every document with the compspec on
+    sys.path; write {name: {command: [exit, stdout, stderr, report,
+    svg]}} as JSON.  Outputs go to relative paths in the current
+    directory, so both trees print the same file names."""
+    from compspec.cli import main
+
+    answers = {}
+    for doc in sorted(docdir.glob("*.json")):
+        runs = {}
+        for cmd in COMMANDS:
+            argv = [cmd, str(doc)]
+            if cmd == "analyze":
+                argv += ["--out", "report.json", "--svg", "fig.svg"]
+            code, out, err = _call(main, argv)
+            runs[cmd] = [code, out, err, _read(Path("report.json")),
+                         _read(Path("fig.svg"))]
+        answers[doc.stem] = runs
+    result.write_text(json.dumps(answers), encoding="utf-8")
+
+
+def _answers(tree: Path, docdir: Path, work: Path) -> dict:
+    """The worker's answers for one tree, run in the directory work."""
+    work.mkdir()
+    result = work / "answers.json"
+    env = {**os.environ, "PYTHONPATH": str(tree.resolve() / "src"),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    subprocess.run([sys.executable, str(Path(__file__).resolve()), "--worker",
+                    str(docdir), str(result)], cwd=work, env=env, check=True)
+    return json.loads(result.read_text(encoding="utf-8"))
+
+
+FIELDS = ("exit code", "stdout", "stderr", "report bytes", "SVG bytes")
+
+
+def compare(parent: dict, change: dict) -> list[str]:
+    diffs = []
+    for name in sorted(parent):
+        for cmd in COMMANDS:
+            for field, a, b in zip(FIELDS, parent[name][cmd],
+                                   change[name][cmd]):
+                if a != b:
+                    diffs.append(f"{name} {cmd}: {field} differ "
+                                 f"({_brief(a)} -> {_brief(b)})")
+    return diffs
+
+
+def _brief(value) -> str:
+    text = repr(value)
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--worker":
+        worker(Path(argv[1]), Path(argv[2]))
+        return 0
+    if len(argv) != 2:
+        sys.stderr.write(__doc__)
+        return 64
+    parent, change = (Path(a) for a in argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp)
+        docdir = base / "docs"
+        docdir.mkdir()
+        docs = battery()
+        for name, doc in docs.items():
+            (docdir / f"{name}.json").write_text(json.dumps(doc),
+                                                 encoding="utf-8")
+        before = _answers(parent, docdir, base / "parent")
+        after = _answers(change, docdir, base / "change")
+    diffs = compare(before, after)
+    for line in diffs:
+        print(line)
+    runs = len(docs) * len(COMMANDS)
+    print(f"{len(docs)} documents, {runs} runs, {len(diffs)} differences")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
