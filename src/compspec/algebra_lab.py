@@ -4,7 +4,14 @@ Structured random families of square complex matrices are built so that
 a declared pattern of pairwise products vanishes exactly (block support
 construction, then one well-conditioned similarity applied to the whole
 family, which preserves all products and spectra).  A dense eigenvalue
-oracle then verifies the spectral statements on each family.
+oracle then verifies the spectral statements.
+
+Seeded trials are built and checked in stacks of at most STACK_TRIALS
+families, held as one (trials, n, order, order) array, so that each
+inverse, product, norm and eigen-solve is one LAPACK or BLAS call per
+stack rather than per matrix.  Every trial draws from its own seeded
+stream, so a family has the same bits alone as in a stack;
+`make_family` and the `check_*` functions work on a stack of one.
 
 All statements are about spectra as *sets*: comparisons are tolerance
 set matching, ignoring multiplicity, with the tolerance scaled by the
@@ -14,6 +21,7 @@ Frobenius norms involved.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +40,12 @@ __all__ = [
 MAX_ORDER = 128
 MAX_TRUNCATION = 512
 SET_MATCH_TOL = 1e-7
+# families per stack: larger stacks save little call overhead but hold
+# more memory (one cta stack at n = 5, order 24 is 0.37 MB per array);
+# stacks of large families are cut to STACK_BYTES, down to one family
+STACK_TRIALS = 8
+STACK_BYTES = 4 * 2 ** 20
+SIMILARITY_DRAWS = 50
 
 
 class Pattern(str, enum.Enum):
@@ -56,6 +70,10 @@ class AnnihilationFamily:
     def n(self) -> int:
         return len(self.matrices)
 
+    def as_stack(self) -> np.ndarray:
+        """The family as a stack of one, shape (1, n, order, order)."""
+        return np.stack(self.matrices)[None]
+
 
 def eigenvalues(m: np.ndarray) -> np.ndarray:
     """All eigenvalues with multiplicity (LAPACK dense solver:
@@ -67,6 +85,14 @@ def eigenvalues(m: np.ndarray) -> np.ndarray:
         raise InvalidDataError(f"order exceeds cap {MAX_ORDER}")
     try:
         return np.linalg.eigvals(m)
+    except np.linalg.LinAlgError as exc:
+        raise RootFindingError("eigenvalue iteration failed") from exc
+
+
+def _stacked_eigenvalues(mats: np.ndarray) -> np.ndarray:
+    """Eigenvalues of every matrix of a stack, in one LAPACK call."""
+    try:
+        return np.linalg.eigvals(mats)
     except np.linalg.LinAlgError as exc:
         raise RootFindingError("eigenvalue iteration failed") from exc
 
@@ -121,215 +147,282 @@ def _supports(pattern: Pattern, n: int):
     raise InvalidDataError(f"unknown pattern {pattern}")
 
 
-def _well_conditioned_similarity(order: int, rng) -> np.ndarray:
-    for _ in range(50):
-        s = rng.normal(size=(order, order)) + 1j * rng.normal(size=(order, order))
-        s /= np.sqrt(2.0 * order)
-        s += np.eye(order)
+def _complex(pair: np.ndarray) -> np.ndarray:
+    """Complex matrices from (..., 2, rows, cols) real and imaginary
+    parts."""
+    return pair[..., 0, :, :] + 1j * pair[..., 1, :, :]
+
+
+def _similarity_candidate(pair: np.ndarray) -> np.ndarray:
+    order = pair.shape[-1]
+    return _complex(pair) / np.sqrt(2.0 * order) + np.eye(order)
+
+
+def _redraw_similarity(order: int, rng) -> np.ndarray:
+    """The remaining candidates of a trial whose first one failed."""
+    for _ in range(SIMILARITY_DRAWS - 1):
+        s = _similarity_candidate(rng.normal(size=(2, order, order)))
         if np.linalg.cond(s) < 100.0:
             return s
     raise RootFindingError("could not draw a well-conditioned similarity")
+
+
+def _make_stack(pattern: Pattern | str, n: int, order: int,
+                seeds) -> np.ndarray:
+    """One seeded family per seed, each realizing the pattern exactly
+    and conjugated by its own well-conditioned similarity: mats[t, j],
+    of shape (trials, n, order, order), is a_j of the family seeded by
+    seeds[t].
+
+    The family seeded by s draws from default_rng(s): the real, then
+    the imaginary part of each matrix's block, then similarity
+    candidates until one has condition number below 100.  All shapes
+    are validated before any order-sized array exists.
+    """
+    pattern = Pattern(pattern)
+    if pattern in (Pattern.NILPOTENT_PAIR, Pattern.LEAD_IN) and n != 2:
+        raise InvalidDataError(f"{pattern.value} is a two-element pattern")
+    if n < 2:
+        raise InvalidDataError("need at least two matrices")
+    supports, nblocks = _supports(pattern, n)
+    if order < nblocks:
+        raise InvalidDataError(
+            f"order {order} too small for {nblocks} blocks")
+    if order > MAX_ORDER:
+        raise InvalidDataError(f"order exceeds cap {MAX_ORDER}")
+    blocks = np.array_split(np.arange(order), nblocks)
+    spans = [(np.concatenate([blocks[t] for t in targets]), blocks[src])
+             for src, targets in supports]
+    # each trial's draws: every block, then its first similarity
+    # candidate, as (2, rows, cols) real and imaginary parts
+    shapes = [(2, rows.size, cols.size) for rows, cols in spans]
+    shapes.append((2, order, order))
+    sizes = [math.prod(shape) for shape in shapes]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    draws = np.array([rng.normal(size=sum(sizes)) for rng in rngs])
+    pairs = [part.reshape(len(seeds), *shape) for part, shape in
+             zip(np.split(draws, np.cumsum(sizes)[:-1], axis=1), shapes)]
+    mats = np.zeros((len(seeds), n, order, order), dtype=complex)
+    for j, (rows, cols) in enumerate(spans):
+        mats[:, j, rows[:, None], cols] = _complex(pairs[j])
+    s = _similarity_candidate(pairs[-1])
+    for t in np.flatnonzero(~(np.linalg.cond(s) < 100.0)):
+        s[t] = _redraw_similarity(order, rngs[t])
+    mats = s[:, None] @ mats @ np.linalg.inv(s)[:, None]
+    _verify_products(mats, pattern, seeds)
+    return mats
 
 
 def make_family(pattern: Pattern | str, n: int, order: int,
                 seed: int) -> AnnihilationFamily:
     """Seeded structured family realizing the pattern exactly, then
     conjugated by one random well-conditioned similarity."""
-    pattern = Pattern(pattern)
-    if pattern in (Pattern.NILPOTENT_PAIR, Pattern.LEAD_IN) and n != 2:
-        raise InvalidDataError(f"{pattern.value} is a two-element pattern")
-    if n < 2:
-        raise InvalidDataError("need at least two matrices")
-    rng = np.random.default_rng(seed)
-    supports, nblocks = _supports(pattern, n)
-    if order < nblocks:
-        raise InvalidDataError(
-            f"order {order} too small for {nblocks} blocks")
-    blocks = np.array_split(np.arange(order), nblocks)
-    mats = []
-    for src, targets in supports:
-        m = np.zeros((order, order), dtype=complex)
-        rows = np.concatenate([blocks[t] for t in targets])
-        cols = blocks[src]
-        m[np.ix_(rows, cols)] = (rng.normal(size=(rows.size, cols.size))
-                                 + 1j * rng.normal(size=(rows.size, cols.size)))
-        mats.append(m)
-    s = _well_conditioned_similarity(order, rng)
-    s_inv = np.linalg.inv(s)
-    mats = [s @ m @ s_inv for m in mats]
-    fam = AnnihilationFamily(tuple(mats), pattern, seed)
-    _verify_products(fam)
-    return fam
+    mats = _make_stack(pattern, n, order, [seed])
+    return AnnihilationFamily(tuple(mats[0]), Pattern(pattern), seed)
 
 
-def _verify_products(fam: AnnihilationFamily):
-    norms = [np.linalg.norm(m) for m in fam.matrices]
-    for i, j in _required_zero_pairs(fam.pattern, fam.n):
-        scale = max(1.0, norms[i] * norms[j])
-        err = np.linalg.norm(fam.matrices[i] @ fam.matrices[j])
-        if err > 1e-10 * scale:
+def _verify_products(mats: np.ndarray, pattern: Pattern, seeds):
+    norms = _norms(mats)
+    for i, j in _required_zero_pairs(pattern, mats.shape[1]):
+        scale = np.maximum(1.0, norms[:, i] * norms[:, j])
+        err = _norms(mats[:, i] @ mats[:, j])
+        bad = np.flatnonzero(err > 1e-10 * scale)
+        if bad.size:
+            t = bad[0]
             raise RootFindingError(
-                f"construction bug: product a_{i} a_{j} has norm {err}")
+                f"construction bug: product a_{i} a_{j} has norm {err[t]} "
+                f"(seed {seeds[t]})")
 
 
 # ----------------------------------------------------------------------
 # set matching
 # ----------------------------------------------------------------------
 
-def _scaled_tol(fam_or_mats) -> float:
-    mats = (fam_or_mats.matrices if isinstance(fam_or_mats, AnnihilationFamily)
-            else fam_or_mats)
-    scale = max(1.0, max(np.linalg.norm(m) for m in mats))
-    return SET_MATCH_TOL * scale
+def _norms(mats: np.ndarray) -> np.ndarray:
+    """Frobenius norms over the last two axes.  The squares are summed
+    by BLAS dot, as np.linalg.norm sums a single matrix, so a stack
+    gives the bits of one matrix at a time."""
+    v = mats.reshape(*mats.shape[:-2], 1, -1)
+    re, im = v.real, v.imag
+    sq = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)
+    return np.sqrt(sq[..., 0, 0])
 
 
-def _nonzero(vals: np.ndarray, tol: float) -> np.ndarray:
-    return vals[np.abs(vals) > tol]
+def _scaled_tol(mats: np.ndarray) -> np.ndarray:
+    """Per-trial matching tolerance of a (trials, k, order, order)
+    stack, scaled by the largest norm among the trial's k matrices."""
+    return SET_MATCH_TOL * np.maximum(1.0, _norms(mats).max(axis=1))
+
+
+def _nonzero(vals: np.ndarray, tol: np.ndarray) -> np.ndarray:
+    """vals (trials, ...) with the entries of modulus at most the
+    trial's tol dropped, i.e. set to NaN, which matching skips."""
+    tol = tol.reshape(-1, *[1] * (vals.ndim - 1))
+    return np.where(np.abs(vals) > tol, vals, np.nan)
+
+
+def _covered(a: np.ndarray, b: np.ndarray, tol: np.ndarray) -> np.ndarray:
+    """Per trial (row): every entry of a lies within tol of an entry of
+    b.  NaN entries are absent from their set."""
+    near = np.fmin.reduce(np.abs(a[:, :, None] - b[:, None, :]), axis=2,
+                          initial=np.inf)
+    return np.all((near <= tol[:, None]) | np.isnan(a), axis=1)
+
+
+def _match(a: np.ndarray, b: np.ndarray, tol: np.ndarray) -> np.ndarray:
+    """Per-trial set equality up to tolerance, ignoring multiplicity."""
+    return _covered(a, b, tol) & _covered(b, a, tol)
 
 
 def spectra_match(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
     """Set equality up to tolerance, ignoring multiplicity."""
-    a = np.asarray(a, dtype=complex).ravel()
-    b = np.asarray(b, dtype=complex).ravel()
-    if a.size == 0 and b.size == 0:
-        return True
-    if a.size == 0 or b.size == 0:
-        return False
-    d = np.abs(a[:, None] - b[None, :])
-    return bool(np.all(d.min(axis=1) <= tol) and np.all(d.min(axis=0) <= tol))
-
-
-def _subset(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    a = np.asarray(a, dtype=complex).ravel()
-    b = np.asarray(b, dtype=complex).ravel()
-    if a.size == 0:
-        return True
-    if b.size == 0:
-        return False
-    return bool(np.all(np.abs(a[:, None] - b[None, :]).min(axis=1) <= tol))
+    a = np.asarray(a, dtype=complex).reshape(1, -1)
+    b = np.asarray(b, dtype=complex).reshape(1, -1)
+    return bool(_match(a, b, np.array([tol]))[0])
 
 
 # ----------------------------------------------------------------------
-# the lemma checkers
+# the lemma checkers: each maps a (trials, n, order, order) stack of
+# families to one verdict per trial
 # ----------------------------------------------------------------------
 
-def check_inclusion_FL(fam: AnnihilationFamily) -> bool:
-    """sigma(a_1 + a_2) inside sigma(a_1) u sigma(a_2); inclusion only."""
-    if fam.pattern is not Pattern.ONE_WAY or fam.n != 2:
-        raise InvalidDataError("needs a one-way pair")
-    return check_union_FLC(fam)
+def _sum_and_parts(mats: np.ndarray):
+    """Eigenvalues of sum_j a_j, (trials, order), and of all the a_j,
+    (trials, n * order), from one eigen-solve."""
+    vals = _stacked_eigenvalues(
+        np.concatenate([mats.sum(axis=1, keepdims=True), mats], axis=1))
+    return vals[:, 0], vals[:, 1:].reshape(len(mats), -1)
 
 
-def check_union_FLC(fam: AnnihilationFamily) -> bool:
-    if fam.pattern is not Pattern.ONE_WAY:
-        raise InvalidDataError("needs a one-way family")
-    tol = _scaled_tol(fam)
-    total = eigenvalues(sum(fam.matrices))
-    union = np.concatenate([eigenvalues(m) for m in fam.matrices])
-    return _subset(total, union, tol)
+def _union_flc(mats: np.ndarray) -> np.ndarray:
+    """sigma(sum a_j) inside the union of the sigma(a_j)."""
+    total, union = _sum_and_parts(mats)
+    return _covered(total, union, _scaled_tol(mats))
 
 
-def check_equality_TA(fam: AnnihilationFamily) -> bool:
-    if fam.pattern is not Pattern.TWO_SIDED or fam.n != 2:
-        raise InvalidDataError("needs a two-sided pair")
-    return check_equality_CTA(fam)
-
-
-def check_equality_CTA(fam: AnnihilationFamily) -> bool:
+def _equality_cta(mats: np.ndarray) -> np.ndarray:
     """Nonzero spectrum of the sum equals the nonzero union."""
-    if fam.pattern is not Pattern.TWO_SIDED:
-        raise InvalidDataError("needs a two-sided family")
-    tol = _scaled_tol(fam)
-    total = _nonzero(eigenvalues(sum(fam.matrices)), tol)
-    union = _nonzero(np.concatenate([eigenvalues(m) for m in fam.matrices]),
-                     tol)
-    return spectra_match(total, union, tol)
+    tol = _scaled_tol(mats)
+    total, union = _sum_and_parts(mats)
+    return _match(_nonzero(total, tol), _nonzero(union, tol), tol)
 
 
-def check_LIP(fam: AnnihilationFamily) -> bool:
+def _lip(mats: np.ndarray) -> np.ndarray:
     """a_1 a_2 = 0 and a_2^2 = 0: the nilpotent lead-in summand drops
     out of the nonzero spectrum."""
-    if fam.pattern is not Pattern.LEAD_IN:
-        raise InvalidDataError("needs a lead-in pair")
-    tol = _scaled_tol(fam)
-    a1, a2 = fam.matrices
-    total = _nonzero(eigenvalues(a1 + a2), tol)
-    alone = _nonzero(eigenvalues(a1), tol)
-    return spectra_match(total, alone, tol)
+    a1, a2 = mats[:, 0], mats[:, 1]
+    tol = _scaled_tol(mats)
+    vals = _nonzero(_stacked_eigenvalues(np.stack([a1 + a2, a1], axis=1)),
+                    tol)
+    return _match(vals[:, 0], vals[:, 1], tol)
 
 
-def check_n2c(fam: AnnihilationFamily) -> bool:
+def _n2c(mats: np.ndarray) -> np.ndarray:
     """For a square-zero pair, nonzero lambda in sigma(a_1 + a_2) iff
     lambda^2 in sigma(a_1 a_2) iff lambda^2 in sigma(a_2 a_1); the last
     equivalence also witnesses Jacobson's lemma."""
-    if fam.pattern is not Pattern.NILPOTENT_PAIR:
-        raise InvalidDataError("needs a nilpotent pair")
-    tol = _scaled_tol(fam)
-    a1, a2 = fam.matrices
-    total = _nonzero(eigenvalues(a1 + a2), tol)
-    sq = total ** 2
-    p12 = _nonzero(eigenvalues(a1 @ a2), tol)
-    p21 = _nonzero(eigenvalues(a2 @ a1), tol)
-    tol2 = _scaled_tol([a1 @ a2])
-    return (spectra_match(sq, p12, tol2)
-            and spectra_match(sq, p21, tol2)
-            and spectra_match(p12, p21, tol2))
+    a1, a2 = mats[:, 0], mats[:, 1]
+    tol = _scaled_tol(mats)
+    p12, p21 = a1 @ a2, a2 @ a1
+    vals = _nonzero(
+        _stacked_eigenvalues(np.stack([a1 + a2, p12, p21], axis=1)), tol)
+    sq, s12, s21 = vals[:, 0] ** 2, vals[:, 1], vals[:, 2]
+    tol2 = _scaled_tol(p12[:, None])
+    return (_match(sq, s12, tol2) & _match(sq, s21, tol2)
+            & _match(s12, s21, tol2))
 
 
-def check_RSM(fam: AnnihilationFamily) -> bool:
+def _rsm(mats: np.ndarray) -> np.ndarray:
     """Cyclic pattern: nonzero sigma(sum a_j) = {lambda: lambda^n in
     sigma(prod a_j)}, with rotation invariance and the cyclic-shift
     (Jacobson) variants of the product."""
-    if fam.pattern is not Pattern.CYCLIC:
-        raise InvalidDataError("needs a cyclic family")
-    n = fam.n
-    tol = _scaled_tol(fam)
-
-    def shifted_product(k):
-        prod = np.eye(fam.order, dtype=complex)
-        for j in range(k, k + n):
-            prod = prod @ fam.matrices[j % n]
-        return prod
-
-    prod0 = shifted_product(0)
-    tolp = _scaled_tol([prod0])
-    spec0 = _nonzero(eigenvalues(prod0), tolp)
+    n = mats.shape[1]
+    tol = _scaled_tol(mats)
+    shifted = []            # a_k a_{k+1} ... a_{k+n-1}, indices mod n
+    for k in range(n):
+        prod = mats[:, k]
+        for j in range(k + 1, k + n):
+            prod = prod @ mats[:, j % n]
+        shifted.append(prod)
+    vals = _stacked_eigenvalues(np.stack([mats.sum(axis=1), *shifted],
+                                         axis=1))
+    tolp = _scaled_tol(shifted[0][:, None])
+    spec = _nonzero(vals[:, 1:], tolp)      # spec[:, k]: shift k
     # Genuine nonzero eigenvalues lambda of the sum satisfy lambda^n in
     # the nonzero spectrum of the product, so |lambda| is bounded below
     # by min|spec0|^(1/n).  Defective zero eigenvalues of the sum, on
     # the other hand, perturb as far as about eps^(1/multiplicity),
     # which the plain matching tolerance does not cover; cut between
-    # the two regimes.
-    vals = eigenvalues(sum(fam.matrices))
-    if spec0.size:
-        cut = max(tol, float(np.min(np.abs(spec0))) ** (1.0 / n) / 10.0)
-    else:
-        cut = tol
-    total = vals[np.abs(vals) > cut]
-    powered = total ** n
-    if not spectra_match(powered, spec0, tolp):
-        return False
-    # rotation invariance of the left-hand set under nth roots of unity
+    # the two regimes.  (Python's pow, as numpy's vector pow may round
+    # differently.)
+    smallest = np.fmin.reduce(np.abs(spec[:, 0]), axis=1)  # NaN: empty
+    cut = np.array([t if np.isnan(m) else max(t, float(m) ** (1.0 / n) / 10.0)
+                    for t, m in zip(tol, smallest)])
+    total = _nonzero(vals[:, 0], cut)
+    ok = _match(total ** n, spec[:, 0], tolp)
     for k in range(1, n):
-        u = np.exp(2j * np.pi * k / n)
-        if not spectra_match(total, u * total, tol):
-            return False
-    # cyclic shifts of the product have the same nonzero spectrum
-    for k in range(1, n):
-        if not spectra_match(spec0, _nonzero(eigenvalues(shifted_product(k)),
-                                             tolp), tolp):
-            return False
-    return True
+        # rotation invariance of the left-hand set under nth roots of
+        # unity, and the same nonzero spectrum for every cyclic shift
+        ok &= _match(total, np.exp(2j * np.pi * k / n) * total, tol)
+        ok &= _match(spec[:, 0], spec[:, k], tolp)
+    return ok
+
+
+def _alone(checker, fam: AnnihilationFamily) -> bool:
+    return bool(checker(fam.as_stack())[0])
+
+
+def check_inclusion_FL(fam: AnnihilationFamily) -> bool:
+    """sigma(a_1 + a_2) inside sigma(a_1) u sigma(a_2); inclusion only."""
+    if fam.pattern is not Pattern.ONE_WAY or fam.n != 2:
+        raise InvalidDataError("needs a one-way pair")
+    return _alone(_union_flc, fam)
+
+
+def check_union_FLC(fam: AnnihilationFamily) -> bool:
+    if fam.pattern is not Pattern.ONE_WAY:
+        raise InvalidDataError("needs a one-way family")
+    return _alone(_union_flc, fam)
+
+
+def check_equality_TA(fam: AnnihilationFamily) -> bool:
+    if fam.pattern is not Pattern.TWO_SIDED or fam.n != 2:
+        raise InvalidDataError("needs a two-sided pair")
+    return _alone(_equality_cta, fam)
+
+
+def check_equality_CTA(fam: AnnihilationFamily) -> bool:
+    if fam.pattern is not Pattern.TWO_SIDED:
+        raise InvalidDataError("needs a two-sided family")
+    return _alone(_equality_cta, fam)
+
+
+def check_LIP(fam: AnnihilationFamily) -> bool:
+    if fam.pattern is not Pattern.LEAD_IN:
+        raise InvalidDataError("needs a lead-in pair")
+    return _alone(_lip, fam)
+
+
+def check_n2c(fam: AnnihilationFamily) -> bool:
+    if fam.pattern is not Pattern.NILPOTENT_PAIR:
+        raise InvalidDataError("needs a nilpotent pair")
+    return _alone(_n2c, fam)
+
+
+def check_RSM(fam: AnnihilationFamily) -> bool:
+    if fam.pattern is not Pattern.CYCLIC:
+        raise InvalidDataError("needs a cyclic family")
+    return _alone(_rsm, fam)
 
 
 _CHECKERS = {
-    "fl": (Pattern.ONE_WAY, check_inclusion_FL, 2),
-    "flc": (Pattern.ONE_WAY, check_union_FLC, None),
-    "ta": (Pattern.TWO_SIDED, check_equality_TA, 2),
-    "cta": (Pattern.TWO_SIDED, check_equality_CTA, None),
-    "lip": (Pattern.LEAD_IN, check_LIP, 2),
-    "n2c": (Pattern.NILPOTENT_PAIR, check_n2c, 2),
-    "rsm": (Pattern.CYCLIC, check_RSM, None),
+    "fl": (Pattern.ONE_WAY, _union_flc, 2),
+    "flc": (Pattern.ONE_WAY, _union_flc, None),
+    "ta": (Pattern.TWO_SIDED, _equality_cta, 2),
+    "cta": (Pattern.TWO_SIDED, _equality_cta, None),
+    "lip": (Pattern.LEAD_IN, _lip, 2),
+    "n2c": (Pattern.NILPOTENT_PAIR, _n2c, 2),
+    "rsm": (Pattern.CYCLIC, _rsm, None),
 }
 
 
@@ -343,19 +436,32 @@ def family_size(lemma: str, n: int) -> int:
     return n if fixed_n is None else fixed_n
 
 
+def _stack_trials(n: int, order: int) -> int:
+    """Families per stack: STACK_TRIALS, or as many as fit in
+    STACK_BYTES of complex matrices, but at least one."""
+    family_bytes = max(1, 16 * n * order ** 2)   # shapes are checked later
+    return max(1, min(STACK_TRIALS, STACK_BYTES // family_bytes))
+
+
+def _trial_seed(master_seed: int, t: int) -> int:
+    return int(np.random.default_rng([master_seed, t]).integers(2 ** 31))
+
+
 def run_checker(lemma: str, n: int, order: int, trials: int,
                 master_seed: int):
-    """Run a named checker over seeded trials; returns (all_pass,
-    failing_seeds).  Per-trial seeds derive from the master seed so any
-    failure is reproducible in isolation."""
+    """Run a named checker over seeded trials, a stack of families at
+    a time; returns (all_pass, failing_seeds), seeds in trial order.
+    Per-trial seeds derive from the master seed so any failure is
+    reproducible in isolation, with make_family."""
     n = family_size(lemma, n)
     pattern, checker, _ = _CHECKERS[lemma]
+    size = _stack_trials(n, order)
     failing = []
-    for t in range(trials):
-        seed = int(np.random.default_rng([master_seed, t]).integers(2 ** 31))
-        fam = make_family(pattern, n, order, seed)
-        if not checker(fam):
-            failing.append(seed)
+    for start in range(0, trials, size):
+        seeds = [_trial_seed(master_seed, t)
+                 for t in range(start, min(start + size, trials))]
+        verdicts = checker(_make_stack(pattern, n, order, seeds))
+        failing += [seed for seed, ok in zip(seeds, verdicts) if not ok]
     return (not failing), failing
 
 

@@ -129,7 +129,8 @@ def test_criterion_7_lemma_suites():
     with criterion(7, "annihilation-sum lemma suites"):
         t0 = time.perf_counter()
         suites = [("fl", 2, 16), ("ta", 2, 16), ("cta", 5, 24),
-                  ("lip", 2, 16), ("n2c", 2, 16), ("rsm", 5, 24)]
+                  ("lip", 2, 16), ("n2c", 2, 16), ("rsm", 5, 24),
+                  ("flc", 4, 24)]
         for lemma, n, order in suites:
             ok, failing = run_checker(lemma, n, order, trials=200,
                                       master_seed=7)

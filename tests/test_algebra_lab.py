@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
+import compspec.algebra_lab as al
 from compspec import RationalSymbol
 from compspec.algebra_lab import (AnnihilationFamily, Pattern, check_LIP,
                                   check_RSM, check_equality_CTA,
@@ -10,7 +13,9 @@ from compspec.algebra_lab import (AnnihilationFamily, Pattern, check_LIP,
                                   eigenpair_residuals, eigenvalues,
                                   make_family, run_checker, spectra_match,
                                   truncated_matrix, truncation_from_coeffs,
-                                  _required_zero_pairs, _verify_products)
+                                  STACK_TRIALS, _make_stack,
+                                  _required_zero_pairs, _supports,
+                                  _trial_seed, _verify_products)
 from compspec.errors import InvalidDataError, RootFindingError
 
 RNG = np.random.default_rng(99)
@@ -60,7 +65,7 @@ def test_nonzero_required_product_is_a_construction_bug():
     fam = AnnihilationFamily((shift, shift.T),
                              Pattern.NILPOTENT_PAIR, seed=0)
     with pytest.raises(RootFindingError, match="a_0 a_0"):
-        _verify_products(fam)
+        _verify_products(fam.as_stack(), fam.pattern, (fam.seed,))
 
 
 def test_non_required_products_nonzero():
@@ -83,6 +88,119 @@ def test_family_validation():
         make_family(Pattern.CYCLIC, 5, 3, seed=0)  # order < blocks
     with pytest.raises(InvalidDataError):
         make_family(Pattern.TWO_SIDED, 1, 8, seed=0)
+
+
+def test_order_cap_is_checked_before_building():
+    # one order-129 matrix alone would take 266 kB
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidDataError, match="order exceeds cap 128"):
+            run_checker("ta", 2, 129, STACK_TRIALS, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+# -- stacked trials ----------------------------------------------------
+
+def _loop_family(pattern, n, order, seed):
+    """Reference: the per-matrix construction, one family at a time."""
+    rng = np.random.default_rng(seed)
+    supports, nblocks = _supports(pattern, n)
+    blocks = np.array_split(np.arange(order), nblocks)
+    mats = []
+    for src, targets in supports:
+        m = np.zeros((order, order), dtype=complex)
+        rows = np.concatenate([blocks[t] for t in targets])
+        cols = blocks[src]
+        m[np.ix_(rows, cols)] = (rng.normal(size=(rows.size, cols.size))
+                                 + 1j * rng.normal(size=(rows.size, cols.size)))
+        mats.append(m)
+    for _ in range(50):
+        s = rng.normal(size=(order, order)) + 1j * rng.normal(size=(order, order))
+        s /= np.sqrt(2.0 * order)
+        s += np.eye(order)
+        if np.linalg.cond(s) < 100.0:
+            break
+    s_inv = np.linalg.inv(s)
+    return np.stack([s @ m @ s_inv for m in mats])
+
+
+SHAPES = [(Pattern.ONE_WAY, 4, 24), (Pattern.TWO_SIDED, 5, 24),
+          (Pattern.NILPOTENT_PAIR, 2, 16), (Pattern.LEAD_IN, 2, 17),
+          (Pattern.CYCLIC, 5, 23)]
+
+
+@pytest.mark.parametrize("trials", [1, STACK_TRIALS, STACK_TRIALS + 1, 50])
+@pytest.mark.parametrize("pattern,n,order", SHAPES)
+def test_stacked_families_are_the_single_families(pattern, n, order, trials):
+    seeds = [_trial_seed(0, t) for t in range(trials)]
+    stack = _make_stack(pattern, n, order, seeds)
+    assert stack.shape == (trials, n, order, order)
+    for t, seed in enumerate(seeds):
+        alone = np.stack(make_family(pattern, n, order, seed).matrices)
+        assert np.array_equal(stack[t], alone)
+        assert np.array_equal(alone, _loop_family(pattern, n, order, seed))
+
+
+def test_redrawn_similarity_keeps_the_stream(monkeypatch):
+    # seeds 27 and 37 reject their first similarity candidate
+    redraws = []
+    real = al._redraw_similarity
+
+    def counted(order, rng):
+        redraws.append(order)
+        return real(order, rng)
+
+    monkeypatch.setattr(al, "_redraw_similarity", counted)
+    seeds = list(range(24, 40))
+    stack = _make_stack(Pattern.TWO_SIDED, 5, 24, seeds)
+    assert redraws == [24, 24]
+    for t, seed in enumerate(seeds):
+        assert np.array_equal(stack[t],
+                              _loop_family(Pattern.TWO_SIDED, 5, 24, seed))
+
+
+@pytest.mark.parametrize("lemma,check,pattern,n,order", [
+    ("flc", check_union_FLC, Pattern.ONE_WAY, 3, 12),
+    ("n2c", check_n2c, Pattern.NILPOTENT_PAIR, 2, 10),
+    ("rsm", check_RSM, Pattern.CYCLIC, 3, 11),
+])
+def test_run_checker_fails_the_seeds_that_fail_alone(lemma, check, pattern,
+                                                     n, order, monkeypatch):
+    # a tolerance this tight fails some trials and passes others
+    monkeypatch.setattr(al, "SET_MATCH_TOL", 1e-15)
+    trials = 2 * STACK_TRIALS + 4
+    ok, failing = run_checker(lemma, n, order, trials, master_seed=3)
+    seeds = [_trial_seed(3, t) for t in range(trials)]
+    alone = [s for s in seeds if not check(make_family(pattern, n, order, s))]
+    assert failing == alone
+    assert 0 < len(failing) < trials and not ok
+
+
+def test_large_families_are_stacked_one_at_a_time(monkeypatch):
+    # one family of 16 matrices of order 128 is 4.2 MB
+    sizes = []
+
+    def record(mats):
+        sizes.append(len(mats))
+        return [True] * len(mats)
+
+    monkeypatch.setitem(al._CHECKERS, "flc", (Pattern.ONE_WAY, record, None))
+    assert run_checker("flc", 16, 128, 3, master_seed=0) == (True, [])
+    assert sizes == [1, 1, 1]
+    assert al._stack_trials(5, 24) == STACK_TRIALS
+
+
+def test_stacked_run_stays_small():
+    tracemalloc.start()
+    try:
+        run_checker("cta", 5, 24, 50, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 # -- set matching ------------------------------------------------------
@@ -131,20 +249,27 @@ def test_run_checker():
     assert ok and failing == []
     with pytest.raises(InvalidDataError):
         run_checker("nope", 2, 8, 1, 0)
+    for n, order in ((1, 8), (0, 8), (3, 0)):
+        with pytest.raises(InvalidDataError):
+            run_checker("cta", n, order, 1, 0)
 
 
 def test_run_checker_reports_failing_seed(monkeypatch):
-    import compspec.algebra_lab as al
-    calls = []
+    calls = []      # every family the checker saw, in trial order
+    bad = STACK_TRIALS + STACK_TRIALS // 2   # mid second stack
 
-    def flaky(fam):
-        calls.append(fam.seed)
-        return len(calls) != 2  # fail exactly the second trial
+    def flaky(mats):
+        first = len(calls)
+        calls.extend(mats)
+        return [first + t != bad for t in range(len(mats))]
 
     monkeypatch.setitem(al._CHECKERS, "ta", (Pattern.TWO_SIDED, flaky, 2))
-    ok, failing = run_checker("ta", 2, 8, 3, master_seed=1)
+    ok, failing = run_checker("ta", 2, 8, 2 * STACK_TRIALS + 1, master_seed=1)
     assert not ok
-    assert failing == [calls[1]]
+    assert len(calls) == 2 * STACK_TRIALS + 1 and len(failing) == 1
+    # the reported seed rebuilds the family that failed
+    alone = make_family(Pattern.TWO_SIDED, 2, 8, failing[0])
+    assert np.array_equal(np.stack(alone.matrices), calls[bad])
 
 
 # -- truncation --------------------------------------------------------

@@ -232,6 +232,16 @@ def test_lemma_check_flag_ranges(capsys):
     capsys.readouterr()
 
 
+def test_lemma_check_order_cap_exit_1(tmp_path, capsys):
+    out = tmp_path / "summary.json"
+    code = run(["lemma-check", "--lemma", "ta", "--order", "129",
+                "--out", out])
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(err[-1]) == {"error": "order exceeds cap 128"}
+
+
 def test_lemma_check_pass(tmp_path):
     out = tmp_path / "summary.json"
     code = run(["lemma-check", "--lemma", "fl", "--trials", "1",

@@ -21,9 +21,13 @@ symbol documents is built once, from this checkout's
 For each tree a worker process imports ``compspec`` from the tree's
 ``src/`` and calls ``compspec.cli.main`` in-process for
 ``analyze --out --svg``, ``classify``, ``boundary`` and ``spectrum`` on
-every document, in the same working-directory layout.  Every difference
-in exit code, stdout, stderr, report bytes or SVG bytes is printed; the
-exit status is 0 when there is none, 1 otherwise.
+every document, in the same working-directory layout.  It also runs a
+``lemma-check --out`` battery: the benchmark's suites
+(``perfbench/run.py`` ``LEMMA_SUITES``, at its trials per request) and
+rsm with n = 5 at orders 11, 17 and 23, where the order is not
+divisible by n, each at master seeds 0-3.  Every difference in exit
+code, stdout, stderr, report bytes or SVG bytes is printed; the exit
+status is 0 when there is none, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -48,6 +52,8 @@ COMMANDS = ("analyze", "classify", "boundary", "spectrum")
 SEEDS = range(1, 6)
 ROTATIONS = (0.0, 2.5, -1.0)
 LOLLIPOP = ((-2, -1, 2), (-3, 0, 2))
+LEMMA_SEEDS = range(4)
+RSM_ORDERS = (11, 17, 23)
 
 
 def _rational(num, den) -> dict:
@@ -96,6 +102,20 @@ def battery() -> dict[str, dict]:
     return docs
 
 
+def lemma_runs() -> dict[str, list[str]]:
+    """Every lemma-check argv of the battery, by a unique name."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from run import LEMMA_SPLIT, LEMMA_SUITES, LEMMA_TRIALS
+
+    shapes = LEMMA_SUITES + [("rsm", 5, order) for order in RSM_ORDERS]
+    trials = LEMMA_TRIALS // LEMMA_SPLIT
+    return {f"lemma-{lemma}-n{n}-o{order}-s{seed}": [
+        "lemma-check", "--lemma", lemma, "--n", str(n), "--order",
+        str(order), "--trials", str(trials), "--seed", str(seed),
+        "--out", "report.json"]
+        for lemma, n, order in shapes for seed in LEMMA_SEEDS}
+
+
 def _call(main, argv) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -112,11 +132,18 @@ def _read(path: Path) -> str | None:
         else data.decode("utf-8")
 
 
+def _run(main, argv) -> list:
+    code, out, err = _call(main, argv)
+    return [code, out, err, _read(Path("report.json")),
+            _read(Path("fig.svg"))]
+
+
 def worker(docdir: Path, result: Path) -> None:
-    """Run every command on every document with the compspec on
-    sys.path; write {name: {command: [exit, stdout, stderr, report,
-    svg]}} as JSON.  Outputs go to relative paths in the current
-    directory, so both trees print the same file names."""
+    """Run every command on every document, and the lemma-check
+    battery, with the compspec on sys.path; write {name: {command:
+    [exit, stdout, stderr, report, svg]}} as JSON.  Outputs go to
+    relative paths in the current directory, so both trees print the
+    same file names."""
     from compspec.cli import main
 
     answers = {}
@@ -126,10 +153,10 @@ def worker(docdir: Path, result: Path) -> None:
             argv = [cmd, str(doc)]
             if cmd == "analyze":
                 argv += ["--out", "report.json", "--svg", "fig.svg"]
-            code, out, err = _call(main, argv)
-            runs[cmd] = [code, out, err, _read(Path("report.json")),
-                         _read(Path("fig.svg"))]
+            runs[cmd] = _run(main, argv)
         answers[doc.stem] = runs
+    for name, argv in lemma_runs().items():
+        answers[name] = {"lemma-check": _run(main, argv)}
     result.write_text(json.dumps(answers), encoding="utf-8")
 
 
@@ -150,7 +177,7 @@ FIELDS = ("exit code", "stdout", "stderr", "report bytes", "SVG bytes")
 def compare(parent: dict, change: dict) -> list[str]:
     diffs = []
     for name in sorted(parent):
-        for cmd in COMMANDS:
+        for cmd in parent[name]:
             for field, a, b in zip(FIELDS, parent[name][cmd],
                                    change[name][cmd]):
                 if a != b:
@@ -185,8 +212,9 @@ def main(argv: list[str]) -> int:
     diffs = compare(before, after)
     for line in diffs:
         print(line)
-    runs = len(docs) * len(COMMANDS)
-    print(f"{len(docs)} documents, {runs} runs, {len(diffs)} differences")
+    runs = sum(len(cmds) for cmds in before.values())
+    print(f"{len(docs)} documents and {len(lemma_runs())} lemma-check "
+          f"runs, {runs} runs in all, {len(diffs)} differences")
     return 1 if diffs else 0
 
 
