@@ -38,7 +38,6 @@ __all__ = [
 ]
 
 MAX_ORDER = 128
-MAX_TRUNCATION = 512
 SET_MATCH_TOL = 1e-7
 # families per stack: larger stacks save little call overhead but hold
 # more memory (one cta stack at n = 5, order 24 is 0.37 MB per array);
@@ -484,8 +483,8 @@ def truncated_matrix(s: RationalSymbol, order: int) -> np.ndarray:
 def truncation_from_coeffs(num_coeffs, den_coeffs, order: int) -> np.ndarray:
     """Truncation matrix straight from coefficient arrays (also admits
     degenerate symbols, e.g. constants, that the symbol type rejects)."""
-    if not (1 <= order <= MAX_TRUNCATION):
-        raise InvalidDataError(f"order must be in [1, {MAX_TRUNCATION}]")
+    if not (1 <= order <= MAX_ORDER):
+        raise InvalidDataError(f"order must be in [1, {MAX_ORDER}]")
     num_coeffs = np.asarray(num_coeffs, dtype=complex)
     den_coeffs = np.asarray(den_coeffs, dtype=complex)
     num = np.zeros(order, dtype=complex)

@@ -28,13 +28,6 @@ complex coefficients: a numpy call per point costs more than its arithmetic.
 For the same reason the derivative numerators and G are formed with
 ``np.convolve``, slicing and a padded subtraction rather than the
 numpy.polynomial helpers, giving the same doubles.
-
-The Denjoy-Wolff candidate must also attract the orbit of 0 (to within
-1e-3 after at most 5000 steps).  Toward a boundary candidate omega the
-orbit stops once Julia's lemma settles that verdict: with
-phi'(omega) <= 1 + EPS, every later iterate stays in the horodisk at
-omega through the current one, whose points all lie within 2h / (1 + h)
-of omega, h = |omega - z|^2 / (1 - |z|^2).
 """
 
 from __future__ import annotations
@@ -430,14 +423,17 @@ def _certificate(points, multiplicities, note: str) -> S2Certificate:
 
 def _rational_denjoy_wolff(s: RationalSymbol, points) -> DenjoyWolffRecord:
     """Denjoy-Wolff point of a rational symbol, given the second-order
-    data at its contact points."""
+    data at its contact points, read off the roots of N - zD alone: the
+    attracting fixed point inside the disk, else the boundary fixed
+    point with phi' <= 1 (Schwarz, Denjoy-Wolff, Julia-Caratheodory)."""
     n, d = s._polys.n, s._polys.d
     # N(z) - z D(z); the zero below z D is written d[0] * 0, as polymulx does
     f = _trim(_sub(n, np.concatenate(([d[0] * 0], d))))
     if f.size <= 1:
         raise RootFindingError("fixed-point polynomial is degenerate")
     roots = P.polyroots(f)
-    cands = roots[np.abs(roots) <= 1.0 + 1e-6]
+    band = 1e-6     # root-finding slack about the circle
+    cands = roots[np.abs(roots) <= 1.0 + band]
     interior = [complex(r) for r in cands if abs(r) < 1.0 - _INTERIOR_MARGIN]
     found = []
     for r in interior:
@@ -454,6 +450,14 @@ def _rational_denjoy_wolff(s: RationalSymbol, points) -> DenjoyWolffRecord:
         raise RootFindingError(
             f"multiple interior DW candidates: {[f_.omega for f_ in found]}")
     if not found:
+        # a fixed point inside the disk that does not attract makes
+        # phi' > 1 at every boundary fixed point (Julia's lemma), so
+        # the boundary cannot hold the Denjoy-Wolff point either
+        inside = [complex(r) for r in cands if abs(r) < 1.0 - band]
+        if inside:
+            raise RootFindingError(
+                "fixed points inside the disk are not attracting: "
+                f"{inside}")
         # snap near-circle roots to fixed contact points
         for data in points:
             if abs(data.value - data.zeta) <= MATCH_TOL:
@@ -465,33 +469,6 @@ def _rational_denjoy_wolff(s: RationalSymbol, points) -> DenjoyWolffRecord:
             raise RootFindingError(
                 "no unique root satisfies the Denjoy-Wolff characterization; "
                 f"fixed-point candidates: {list(cands)}")
-    # iteration from 0 must approach the candidate.  Toward a boundary
-    # candidate the orbit stops as soon as the verdict is settled: since
-    # phi'(omega) <= 1 + EPS, Julia's lemma keeps every later iterate w in
-    # the horodisk |omega - w|^2 <= h (1 - |w|^2) through the current z,
-    # and no point of it lies farther than 2h / (1 + h) from omega.
-    # Stopping at half the 1e-3 verdict covers the growth of h by at most
-    # (1 + EPS)^5000 ~ 1 + 5e-6 and roundoff.  (A parabolic orbit nears
-    # omega only like 1/n, so without the stop it runs all 5000 steps;
-    # an interior candidate attracts geometrically and needs no stop.)
-    omega = found[0].omega
-    horodisk = found[0].location is Location.BOUNDARY
-    z = 0.0 + 0.0j
-    for _ in range(5000):
-        if horodisk:
-            r2 = abs(z) ** 2
-            if r2 < 1.0:
-                h = abs(omega - z) ** 2 / (1.0 - r2)
-                if 2.0 * h / (1.0 + h) <= 0.5e-3:
-                    break
-        nxt = s.value(z)
-        if abs(nxt - z) < 1e-12:
-            z = nxt
-            break
-        z = nxt
-    if abs(z - omega) > 1e-3:
-        raise RootFindingError(f"iteration from 0 reached {z}, not the "
-                               f"DW candidate {omega}")
     return found[0]
 
 

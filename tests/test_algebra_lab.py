@@ -244,6 +244,45 @@ def test_rsm_order_not_divisible_by_n():
         assert check_RSM(make_family(Pattern.CYCLIC, 5, order, seed=3))
 
 
+def _long_chain_cyclic_family():
+    """n = 8 with blocks of sizes 1, 4, ..., 4: a_j maps block j + 1
+    onto block j (indices mod 8).  The product a_0 ... a_7 has rank 1,
+    scaled to the single nonzero eigenvalue mu with |mu| = 1, so the
+    sum has 8 genuine eigenvalues of modulus 1; its 21 zero eigenvalues
+    form three Jordan chains of length 7, which roundoff spreads to
+    about eps^(1/7) ~ 6e-3."""
+    rng = np.random.default_rng(1)
+    sizes = [1] + [4] * 7
+    starts = np.cumsum([0] + sizes)
+    order = starts[-1]
+    blocks = [slice(starts[j], starts[j + 1]) for j in range(8)]
+
+    def draw(rows, cols):
+        z = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+        return z / np.sqrt(2 * cols)
+
+    mats = []
+    for j in range(8):
+        a = np.zeros((order, order), dtype=complex)
+        src, dst = (j + 1) % 8, j
+        a[blocks[dst], blocks[src]] = draw(sizes[dst], sizes[src])
+        mats.append(a)
+    mu = np.trace(np.linalg.multi_dot(mats))
+    mats[0] /= abs(mu)
+    s = np.eye(order) + draw(order, order)
+    mats = [s @ a @ np.linalg.inv(s) for a in mats]
+    return AnnihilationFamily(tuple(mats), Pattern.CYCLIC, seed=1)
+
+
+def test_rsm_cut_separates_long_jordan_chains():
+    fam = _long_chain_cyclic_family()
+    mods = np.sort(np.abs(eigenvalues(sum(fam.matrices))))
+    # the chains' spread lies between the cut's placement at 1/10 of
+    # the genuine modulus and a cut 100 times lower
+    assert 1e-3 < mods[-9] < 0.03 and abs(mods[-8] - 1.0) < 1e-6
+    assert check_RSM(fam)
+
+
 def test_run_checker():
     ok, failing = run_checker("rsm", 4, 16, 10, master_seed=7)
     assert ok and failing == []

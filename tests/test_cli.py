@@ -303,6 +303,16 @@ def test_truncate_constant(tmp_path):
     assert mods == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-10)
 
 
+def test_truncate_order_above_the_eigen_solver_cap(tmp_path, capsys):
+    doc = tmp_path / "half.json"
+    doc.write_text('{"kind": "rational", "num": [[0,0],[0.5,0]],'
+                   ' "den": [[1,0]]}')
+    out = tmp_path / "trunc.json"
+    assert run(["truncate", doc, "--order", "129", "--out", out]) == 1
+    assert not out.exists()
+    assert "order must be in [1, 128]" in capsys.readouterr().err
+
+
 def test_svg_deterministic(tmp_path):
     a = tmp_path / "a.svg"
     b = tmp_path / "b.svg"

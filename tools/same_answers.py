@@ -12,6 +12,11 @@ symbol documents is built once, from this checkout's
 * ``gen.SWEEP`` and ``gen.PROJECTION_SLICE`` at seeds 1-5;
 * the parabolic maps ((2-t)z + t) / (-tz + 2 + t) for t in
   logspace(-3, 1, 40), each conjugated by three rotations;
+* the linear-fractional maps with fixed points 1 - d (multiplier
+  1 - e) and 1, for d in logspace(-7, -1, 13) and e in
+  {0.5, 1e-2, 1e-4, 1e-9, 1e-11, -1e-9}, each conjugated by two
+  rotations: an interior fixed point that attracts or repels barely,
+  next to a boundary one;
 * ``gen.hyperbolic`` at degrees 1-4 with phi'(1) in
   {0.5, 0.9, 0.99, 0.999, 0.9999};
 * three rotations of the lollipop golden;
@@ -89,6 +94,12 @@ def battery() -> dict[str, dict]:
         for j, theta in enumerate(ROTATIONS):
             docs[f"parabolic-{i:02d}-r{j}"] = _rotated(
                 (t, 2.0 - t), (2.0 + t, -t), theta)
+    for i in range(13):
+        d = 10.0 ** (-7.0 + i / 2)
+        for j, e in enumerate((0.5, 1e-2, 1e-4, 1e-9, 1e-11, -1e-9)):
+            for r, theta in enumerate(ROTATIONS[:2]):
+                docs[f"twofixed-{i:02d}-{j}-r{r}"] = _rotated(
+                    (-(1 - d) * e, e - d), (-(d + e - d * e), e), theta)
     for k in range(1, 5):
         for p in (0.5, 0.9, 0.99, 0.999, 0.9999):
             docs[f"hyperbolic{k}-{p}"] = gen.hyperbolic(
