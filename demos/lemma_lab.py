@@ -19,8 +19,7 @@ np.set_printoptions(precision=3, suppress=True)
 
 # -- a cyclic family, n = 3 --------------------------------------------
 
-fam = make_family(Pattern.CYCLIC, n=3, order=9, seed=2024)
-a = fam.matrices
+a = make_family(Pattern.CYCLIC, n=3, order=9, seed=2024)   # a[j] is a_j
 
 print("cyclic pattern, n = 3, order 9, seed 2024")
 print("required products vanish:")

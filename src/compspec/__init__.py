@@ -13,9 +13,8 @@ synthesis rests on.
 from .errors import (CompspecError, DegenerateMapError, PoleError,
                      InvalidDataError, NotInScopeError, NotCertifiedError,
                      RootFindingError)
-from .mobius import (MobiusMap, SecondOrderData, compose, evaluate,
-                     derivative, second_derivative, fixed_points,
-                     halfplane_incarnation, lfm_from_data,
+from .mobius import (MobiusMap, SecondOrderData, derivative,
+                     second_derivative, fixed_points, lfm_from_data,
                      is_disk_automorphism, IDENTITY_FIXED, AT_INFINITY)
 from .symbol import (RationalSymbol, BoundaryDataSymbol, Symbol,
                      DenjoyWolffRecord, Location, TypeClass, ClarkAtoms,
@@ -29,10 +28,6 @@ from .spectrum import (Disk, Spiral, Points, GeometricTail, SpectralRegion,
                        SpectrumReport, lft_spectra, rho, rho_star,
                        synthesize, spectral_radius_check,
                        kms2t_essential_union)
-from .algebra_lab import (Pattern, AnnihilationFamily, eigenvalues,
-                          make_family, check_inclusion_FL, check_union_FLC,
-                          check_equality_TA, check_equality_CTA, check_LIP,
-                          check_n2c, check_RSM, run_checker,
-                          truncated_matrix)
+from .algebra_lab import Pattern, eigenvalues, make_family, run_checker
 
 __version__ = "0.1.0"

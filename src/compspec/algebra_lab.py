@@ -10,8 +10,8 @@ Seeded trials are built and checked in stacks of at most STACK_TRIALS
 families, held as one (trials, n, order, order) array, so that each
 inverse, product, norm and eigen-solve is one LAPACK or BLAS call per
 stack rather than per matrix.  Every trial draws from its own seeded
-stream, so a family has the same bits alone as in a stack;
-`make_family` and the `check_*` functions work on a stack of one.
+stream, so a family has the same bits alone as in a stack, and
+`make_family` rebuilds any one trial from its seed.
 
 All statements are about spectra as *sets*: comparisons are tolerance
 set matching, ignoring multiplicity, with the tolerance scaled by the
@@ -22,18 +22,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidDataError, RootFindingError
-from .symbol import RationalSymbol
 
 __all__ = [
-    "Pattern", "AnnihilationFamily", "eigenvalues", "make_family",
-    "spectra_match", "check_inclusion_FL", "check_union_FLC",
-    "check_equality_TA", "check_equality_CTA", "check_LIP", "check_n2c",
-    "check_RSM", "family_size", "run_checker", "truncated_matrix",
+    "Pattern", "eigenvalues", "make_family", "family_size", "run_checker",
     "truncation_from_coeffs",
 ]
 
@@ -55,53 +50,19 @@ class Pattern(str, enum.Enum):
     CYCLIC = "cyclic"                # a_j a_k = 0 unless k = (j+1) mod n
 
 
-@dataclass(frozen=True)
-class AnnihilationFamily:
-    matrices: tuple  # of equal-order complex ndarrays
-    pattern: Pattern
-    seed: int
-
-    @property
-    def order(self) -> int:
-        return self.matrices[0].shape[0]
-
-    @property
-    def n(self) -> int:
-        return len(self.matrices)
-
-    def as_stack(self) -> np.ndarray:
-        """The family as a stack of one, shape (1, n, order, order)."""
-        return np.stack(self.matrices)[None]
-
-
 def eigenvalues(m: np.ndarray) -> np.ndarray:
-    """All eigenvalues with multiplicity (LAPACK dense solver:
+    """All eigenvalues with multiplicity of a square matrix, or of every
+    matrix of a (..., k, k) stack in one call (LAPACK dense solver:
     balancing, Hessenberg reduction, shifted QR)."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise InvalidDataError("matrix must be square")
-    if m.shape[0] > MAX_ORDER:
+    if m.shape[-1] > MAX_ORDER:
         raise InvalidDataError(f"order exceeds cap {MAX_ORDER}")
     try:
         return np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
         raise RootFindingError("eigenvalue iteration failed") from exc
-
-
-def _stacked_eigenvalues(mats: np.ndarray) -> np.ndarray:
-    """Eigenvalues of every matrix of a stack, in one LAPACK call."""
-    try:
-        return np.linalg.eigvals(mats)
-    except np.linalg.LinAlgError as exc:
-        raise RootFindingError("eigenvalue iteration failed") from exc
-
-
-def eigenpair_residuals(m: np.ndarray) -> np.ndarray:
-    """max-norm residuals ||m v - lambda v|| per eigenpair (oracle
-    re-verification)."""
-    vals, vecs = np.linalg.eig(np.asarray(m, dtype=complex))
-    res = m @ vecs - vecs * vals
-    return np.linalg.norm(res, axis=0)
 
 
 # ----------------------------------------------------------------------
@@ -213,11 +174,11 @@ def _make_stack(pattern: Pattern | str, n: int, order: int,
 
 
 def make_family(pattern: Pattern | str, n: int, order: int,
-                seed: int) -> AnnihilationFamily:
+                seed: int) -> np.ndarray:
     """Seeded structured family realizing the pattern exactly, then
-    conjugated by one random well-conditioned similarity."""
-    mats = _make_stack(pattern, n, order, [seed])
-    return AnnihilationFamily(tuple(mats[0]), Pattern(pattern), seed)
+    conjugated by one random well-conditioned similarity, as an
+    (n, order, order) array whose j-th matrix is a_j."""
+    return _make_stack(pattern, n, order, [seed])[0]
 
 
 def _verify_products(mats: np.ndarray, pattern: Pattern, seeds):
@@ -273,13 +234,6 @@ def _match(a: np.ndarray, b: np.ndarray, tol: np.ndarray) -> np.ndarray:
     return _covered(a, b, tol) & _covered(b, a, tol)
 
 
-def spectra_match(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    """Set equality up to tolerance, ignoring multiplicity."""
-    a = np.asarray(a, dtype=complex).reshape(1, -1)
-    b = np.asarray(b, dtype=complex).reshape(1, -1)
-    return bool(_match(a, b, np.array([tol]))[0])
-
-
 # ----------------------------------------------------------------------
 # the lemma checkers: each maps a (trials, n, order, order) stack of
 # families to one verdict per trial
@@ -288,7 +242,7 @@ def spectra_match(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
 def _sum_and_parts(mats: np.ndarray):
     """Eigenvalues of sum_j a_j, (trials, order), and of all the a_j,
     (trials, n * order), from one eigen-solve."""
-    vals = _stacked_eigenvalues(
+    vals = eigenvalues(
         np.concatenate([mats.sum(axis=1, keepdims=True), mats], axis=1))
     return vals[:, 0], vals[:, 1:].reshape(len(mats), -1)
 
@@ -311,8 +265,7 @@ def _lip(mats: np.ndarray) -> np.ndarray:
     out of the nonzero spectrum."""
     a1, a2 = mats[:, 0], mats[:, 1]
     tol = _scaled_tol(mats)
-    vals = _nonzero(_stacked_eigenvalues(np.stack([a1 + a2, a1], axis=1)),
-                    tol)
+    vals = _nonzero(eigenvalues(np.stack([a1 + a2, a1], axis=1)), tol)
     return _match(vals[:, 0], vals[:, 1], tol)
 
 
@@ -323,8 +276,8 @@ def _n2c(mats: np.ndarray) -> np.ndarray:
     a1, a2 = mats[:, 0], mats[:, 1]
     tol = _scaled_tol(mats)
     p12, p21 = a1 @ a2, a2 @ a1
-    vals = _nonzero(
-        _stacked_eigenvalues(np.stack([a1 + a2, p12, p21], axis=1)), tol)
+    vals = _nonzero(eigenvalues(np.stack([a1 + a2, p12, p21], axis=1)),
+                    tol)
     sq, s12, s21 = vals[:, 0] ** 2, vals[:, 1], vals[:, 2]
     tol2 = _scaled_tol(p12[:, None])
     return (_match(sq, s12, tol2) & _match(sq, s21, tol2)
@@ -343,8 +296,7 @@ def _rsm(mats: np.ndarray) -> np.ndarray:
         for j in range(k + 1, k + n):
             prod = prod @ mats[:, j % n]
         shifted.append(prod)
-    vals = _stacked_eigenvalues(np.stack([mats.sum(axis=1), *shifted],
-                                         axis=1))
+    vals = eigenvalues(np.stack([mats.sum(axis=1), *shifted], axis=1))
     tolp = _scaled_tol(shifted[0][:, None])
     spec = _nonzero(vals[:, 1:], tolp)      # spec[:, k]: shift k
     # Genuine nonzero eigenvalues lambda of the sum satisfy lambda^n in
@@ -365,53 +317,6 @@ def _rsm(mats: np.ndarray) -> np.ndarray:
         ok &= _match(total, np.exp(2j * np.pi * k / n) * total, tol)
         ok &= _match(spec[:, 0], spec[:, k], tolp)
     return ok
-
-
-def _alone(checker, fam: AnnihilationFamily) -> bool:
-    return bool(checker(fam.as_stack())[0])
-
-
-def check_inclusion_FL(fam: AnnihilationFamily) -> bool:
-    """sigma(a_1 + a_2) inside sigma(a_1) u sigma(a_2); inclusion only."""
-    if fam.pattern is not Pattern.ONE_WAY or fam.n != 2:
-        raise InvalidDataError("needs a one-way pair")
-    return _alone(_union_flc, fam)
-
-
-def check_union_FLC(fam: AnnihilationFamily) -> bool:
-    if fam.pattern is not Pattern.ONE_WAY:
-        raise InvalidDataError("needs a one-way family")
-    return _alone(_union_flc, fam)
-
-
-def check_equality_TA(fam: AnnihilationFamily) -> bool:
-    if fam.pattern is not Pattern.TWO_SIDED or fam.n != 2:
-        raise InvalidDataError("needs a two-sided pair")
-    return _alone(_equality_cta, fam)
-
-
-def check_equality_CTA(fam: AnnihilationFamily) -> bool:
-    if fam.pattern is not Pattern.TWO_SIDED:
-        raise InvalidDataError("needs a two-sided family")
-    return _alone(_equality_cta, fam)
-
-
-def check_LIP(fam: AnnihilationFamily) -> bool:
-    if fam.pattern is not Pattern.LEAD_IN:
-        raise InvalidDataError("needs a lead-in pair")
-    return _alone(_lip, fam)
-
-
-def check_n2c(fam: AnnihilationFamily) -> bool:
-    if fam.pattern is not Pattern.NILPOTENT_PAIR:
-        raise InvalidDataError("needs a nilpotent pair")
-    return _alone(_n2c, fam)
-
-
-def check_RSM(fam: AnnihilationFamily) -> bool:
-    if fam.pattern is not Pattern.CYCLIC:
-        raise InvalidDataError("needs a cyclic family")
-    return _alone(_rsm, fam)
 
 
 _CHECKERS = {
@@ -468,21 +373,15 @@ def run_checker(lemma: str, n: int, order: int, trials: int,
 # H^2 monomial-basis truncation (diagnostic only)
 # ----------------------------------------------------------------------
 
-def truncated_matrix(s: RationalSymbol, order: int) -> np.ndarray:
-    """Column j holds the first `order` Taylor coefficients of phi^j.
+def truncation_from_coeffs(num_coeffs, den_coeffs, order: int) -> np.ndarray:
+    """Column j holds the first `order` Taylor coefficients of phi^j,
+    for phi = num/den given by ascending coefficient arrays (degenerate
+    symbols, e.g. constants, that the symbol type rejects included).
 
     Heuristic diagnostic: no convergence of its eigenvalues to the
     operator spectrum is claimed, except in the exactly solvable
     monomial case.
     """
-    if not isinstance(s, RationalSymbol):
-        raise InvalidDataError("truncation needs a rational symbol")
-    return truncation_from_coeffs(s.num, s.den, order)
-
-
-def truncation_from_coeffs(num_coeffs, den_coeffs, order: int) -> np.ndarray:
-    """Truncation matrix straight from coefficient arrays (also admits
-    degenerate symbols, e.g. constants, that the symbol type rejects)."""
     if not (1 <= order <= MAX_ORDER):
         raise InvalidDataError(f"order must be in [1, {MAX_ORDER}]")
     num_coeffs = np.asarray(num_coeffs, dtype=complex)

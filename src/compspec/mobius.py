@@ -26,12 +26,9 @@ __all__ = [
     "SecondOrderData",
     "IDENTITY_FIXED",
     "AT_INFINITY",
-    "compose",
-    "evaluate",
     "derivative",
     "second_derivative",
     "fixed_points",
-    "halfplane_incarnation",
     "lfm_from_data",
     "is_disk_automorphism",
 ]
@@ -179,13 +176,9 @@ def fixed_points(m: MobiusMap):
     return [q / A, C / q]
 
 
-def halfplane_incarnation(m: MobiusMap) -> MobiusMap:
-    """R o m o R^-1 with R(z) = (1+z)/(1-z)."""
-    return compose(_R, compose(m, _R_INV))
-
-
 def from_halfplane(m: MobiusMap) -> MobiusMap:
-    """Inverse of :func:`halfplane_incarnation`."""
+    """R^-1 o m o R with R(z) = (1+z)/(1-z): the disk map of which the
+    half-plane map m is the incarnation."""
     return compose(_R_INV, compose(m, _R))
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from .config import EPS, MATCH_TOL
 from .dynamics import OrbitPartition, partition
 from .errors import InvalidDataError, NotCertifiedError
-from .mobius import (MobiusMap, derivative, fixed_points,
+from .mobius import (MobiusMap, _finite, derivative, fixed_points,
                      is_disk_automorphism, lfm_from_data, second_derivative,
                      IDENTITY_FIXED, AT_INFINITY)
 from .symbol import (Analysis, DenjoyWolffRecord, Location, Symbol,
@@ -63,8 +63,10 @@ class Points:
     values: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "values",
-                           tuple(complex(v) for v in self.values))
+        values = tuple(complex(v) for v in self.values)
+        if not _finite(*values):
+            raise InvalidDataError("points must be finite")
+        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)

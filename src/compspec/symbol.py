@@ -42,7 +42,7 @@ from numpy.polynomial import polynomial as P
 
 from .config import EPS, MATCH_TOL
 from .errors import (InvalidDataError, NotInScopeError, RootFindingError)
-from .mobius import SecondOrderData
+from .mobius import SecondOrderData, _finite
 
 __all__ = [
     "RationalSymbol", "BoundaryDataSymbol", "Symbol",
@@ -155,10 +155,11 @@ class RationalSymbol:
         if np.max(vals) > 1.0 + EPS:
             raise InvalidDataError(
                 f"sup |phi| on the circle is {np.max(vals)} > 1")
-        # nonconstant: numerator of phi' must not vanish identically
+        # nonconstant: numerator of phi' must not vanish identically;
+        # u is bilinear in (n, d), so its scale is |n| |d|
         dd = _der(d)
         u = _sub(_mul(_der(n), d), _mul(n, dd))
-        if np.max(np.abs(u)) <= EPS * max(1.0, np.max(np.abs(n)) * max(1.0, np.max(np.abs(d)))):
+        if np.max(np.abs(u)) <= EPS * np.max(np.abs(n)) * np.max(np.abs(d)):
             raise InvalidDataError("symbol is constant")
         deg = max(n.size, d.size) - 1
         g = _trim(_sub(_mul(n, _reflect(n, deg)), _mul(d, _reflect(d, deg))))
@@ -212,6 +213,8 @@ class DenjoyWolffRecord:
         omega = complex(self.omega)
         deriv = complex(self.derivative)
         loc = Location(self.location)
+        if not _finite(omega, deriv):
+            raise InvalidDataError("Denjoy-Wolff data must be finite")
         if loc is Location.INTERIOR:
             if abs(omega) >= 1.0 - EPS:
                 raise InvalidDataError("interior DW point has |omega| >= 1")

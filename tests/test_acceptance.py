@@ -11,11 +11,12 @@ import numpy as np
 from compspec import (BoundaryDataSymbol, DenjoyWolffRecord, Disk,
                       GeometricTail, Location, MobiusMap, Points,
                       RationalSymbol, SecondOrderData, Spiral,
-                      compose, contains, cycle_multiplier,
-                      derivative, essential_norm_sq, evaluate, fixed_points,
+                      contains, cycle_multiplier, derivative,
+                      essential_norm_sq, fixed_points,
                       kms2t_essential_union, lft_spectra, partition, region,
-                      region_equal, run_checker, synthesize, truncated_matrix)
-from compspec.algebra_lab import eigenvalues
+                      region_equal, run_checker, synthesize)
+from compspec.algebra_lab import eigenvalues, truncation_from_coeffs
+from compspec.mobius import compose, evaluate
 from conftest import nearest
 
 
@@ -212,6 +213,6 @@ def test_criterion_9_property_suites():
 def test_criterion_10_truncation_exactness():
     with criterion(10, "truncation exactness"):
         s = RationalSymbol((0, 0.5), (1,))
-        vals = np.sort(np.abs(eigenvalues(truncated_matrix(s, 32))))[::-1]
+        vals = np.sort(np.abs(eigenvalues(truncation_from_coeffs(s.num, s.den, 32))))[::-1]
         expected = 0.5 ** np.arange(32)
         assert np.max(np.abs(vals - expected)) < 1e-10

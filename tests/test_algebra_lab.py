@@ -6,19 +6,21 @@ from numpy.polynomial import polynomial as P
 
 import compspec.algebra_lab as al
 from compspec import RationalSymbol
-from compspec.algebra_lab import (AnnihilationFamily, Pattern, check_LIP,
-                                  check_RSM, check_equality_CTA,
-                                  check_equality_TA, check_inclusion_FL,
-                                  check_n2c, check_union_FLC,
-                                  eigenpair_residuals, eigenvalues,
-                                  make_family, run_checker, spectra_match,
-                                  truncated_matrix, truncation_from_coeffs,
-                                  STACK_TRIALS, _make_stack,
-                                  _required_zero_pairs, _supports,
-                                  _trial_seed, _verify_products)
+from compspec.algebra_lab import (Pattern, eigenvalues, make_family,
+                                  run_checker, truncation_from_coeffs,
+                                  STACK_TRIALS, _equality_cta, _lip,
+                                  _make_stack, _match, _n2c,
+                                  _required_zero_pairs, _rsm, _supports,
+                                  _trial_seed, _union_flc, _verify_products)
 from compspec.errors import InvalidDataError, RootFindingError
 
 RNG = np.random.default_rng(99)
+
+
+def _same_set(a, b, tol):
+    """_match on a single trial: a and b are 1-D sets."""
+    return bool(_match(np.array([a], dtype=complex),
+                       np.array([b], dtype=complex), np.array([tol]))[0])
 
 
 # -- eigenvalue oracle -------------------------------------------------
@@ -29,19 +31,29 @@ def test_eigenvalues_against_charpoly_roots():
         vals = eigenvalues(m)
         char = np.poly(m)  # leading-first coefficients
         roots = P.polyroots(char[::-1])
-        assert spectra_match(vals, roots, 1e-7 * np.linalg.norm(m))
+        assert _same_set(vals, roots, 1e-7 * np.linalg.norm(m))
 
 
-def test_eigenpair_residuals_small():
-    m = RNG.normal(size=(10, 10)) + 1j * RNG.normal(size=(10, 10))
-    assert np.max(eigenpair_residuals(m)) < 1e-10 * np.linalg.norm(m)
+def test_eigenvalues_of_a_stack_are_those_of_each_matrix():
+    stack = RNG.normal(size=(3, 2, 7, 7)) + 1j * RNG.normal(size=(3, 2, 7, 7))
+    vals = eigenvalues(stack)
+    assert vals.shape == (3, 2, 7)
+    for t in range(3):
+        for j in range(2):
+            assert np.array_equal(vals[t, j], eigenvalues(stack[t, j]))
 
 
 def test_eigenvalues_validation():
     with pytest.raises(InvalidDataError):
         eigenvalues(np.zeros((2, 3)))
     with pytest.raises(InvalidDataError):
+        eigenvalues(np.zeros(4))
+    with pytest.raises(InvalidDataError):
         eigenvalues(np.zeros((200, 200)))
+    with pytest.raises(InvalidDataError, match="square"):
+        eigenvalues(np.zeros((4, 2, 3)))
+    with pytest.raises(InvalidDataError, match="order exceeds cap 128"):
+        eigenvalues(np.zeros((2, 129, 129)))
 
 
 # -- family construction -----------------------------------------------
@@ -54,31 +66,30 @@ def test_eigenvalues_validation():
 ])
 def test_required_products_vanish(pattern, n):
     fam = make_family(pattern, n, 17, seed=5)
+    assert fam.shape == (n, 17, 17)
     for i, j in _required_zero_pairs(pattern, n):
-        a, b = fam.matrices[i], fam.matrices[j]
+        a, b = fam[i], fam[j]
         assert np.linalg.norm(a @ b) < 1e-9 * max(
             1.0, np.linalg.norm(a) * np.linalg.norm(b))
 
 
 def test_nonzero_required_product_is_a_construction_bug():
     shift = np.diag(np.ones(3, dtype=complex), 1)   # shift @ shift != 0
-    fam = AnnihilationFamily((shift, shift.T),
-                             Pattern.NILPOTENT_PAIR, seed=0)
+    stack = np.stack([shift, shift.T])[None]
     with pytest.raises(RootFindingError, match="a_0 a_0"):
-        _verify_products(fam.as_stack(), fam.pattern, (fam.seed,))
+        _verify_products(stack, Pattern.NILPOTENT_PAIR, (0,))
 
 
 def test_non_required_products_nonzero():
     fam = make_family(Pattern.ONE_WAY, 3, 12, seed=5)
     # a_2 a_1 is allowed (and generically) nonzero
-    assert np.linalg.norm(fam.matrices[2] @ fam.matrices[1]) > 1e-3
+    assert np.linalg.norm(fam[2] @ fam[1]) > 1e-3
 
 
 def test_family_is_seeded():
     a = make_family(Pattern.CYCLIC, 3, 9, seed=42)
     b = make_family(Pattern.CYCLIC, 3, 9, seed=42)
-    for x, y in zip(a.matrices, b.matrices):
-        assert np.array_equal(x, y)
+    assert np.array_equal(a, b)
 
 
 def test_family_validation():
@@ -139,7 +150,7 @@ def test_stacked_families_are_the_single_families(pattern, n, order, trials):
     stack = _make_stack(pattern, n, order, seeds)
     assert stack.shape == (trials, n, order, order)
     for t, seed in enumerate(seeds):
-        alone = np.stack(make_family(pattern, n, order, seed).matrices)
+        alone = make_family(pattern, n, order, seed)
         assert np.array_equal(stack[t], alone)
         assert np.array_equal(alone, _loop_family(pattern, n, order, seed))
 
@@ -163,9 +174,12 @@ def test_redrawn_similarity_keeps_the_stream(monkeypatch):
 
 
 @pytest.mark.parametrize("lemma,check,pattern,n,order", [
-    ("flc", check_union_FLC, Pattern.ONE_WAY, 3, 12),
-    ("n2c", check_n2c, Pattern.NILPOTENT_PAIR, 2, 10),
-    ("rsm", check_RSM, Pattern.CYCLIC, 3, 11),
+    pytest.param("flc", _union_flc, Pattern.ONE_WAY, 3, 12,
+                 id="flc-check_union_FLC-one_way-3-12"),
+    pytest.param("n2c", _n2c, Pattern.NILPOTENT_PAIR, 2, 10,
+                 id="n2c-check_n2c-nilpotent_pair-2-10"),
+    pytest.param("rsm", _rsm, Pattern.CYCLIC, 3, 11,
+                 id="rsm-check_RSM-cyclic-3-11"),
 ])
 def test_run_checker_fails_the_seeds_that_fail_alone(lemma, check, pattern,
                                                      n, order, monkeypatch):
@@ -174,7 +188,8 @@ def test_run_checker_fails_the_seeds_that_fail_alone(lemma, check, pattern,
     trials = 2 * STACK_TRIALS + 4
     ok, failing = run_checker(lemma, n, order, trials, master_seed=3)
     seeds = [_trial_seed(3, t) for t in range(trials)]
-    alone = [s for s in seeds if not check(make_family(pattern, n, order, s))]
+    alone = [s for s in seeds
+             if not check(_make_stack(pattern, n, order, [s]))[0]]
     assert failing == alone
     assert 0 < len(failing) < trials and not ok
 
@@ -206,42 +221,46 @@ def test_stacked_run_stays_small():
 # -- set matching ------------------------------------------------------
 
 def test_spectra_match_basics():
-    assert spectra_match(np.array([1.0, 2.0]), np.array([2.0, 1.0]), 1e-9)
+    assert _same_set([1.0, 2.0], [2.0, 1.0], 1e-9)
     # multiplicity is ignored
-    assert spectra_match(np.array([1.0, 1.0, 2.0]), np.array([1.0, 2.0]), 1e-9)
-    assert not spectra_match(np.array([1.0]), np.array([1.1]), 1e-3)
-    assert spectra_match(np.array([]), np.array([]), 1e-9)
-    assert not spectra_match(np.array([1.0]), np.array([]), 1e-9)
+    assert _same_set([1.0, 1.0, 2.0], [1.0, 2.0], 1e-9)
+    assert not _same_set([1.0], [1.1], 1e-3)
+    assert _same_set([], [], 1e-9)
+    assert not _same_set([1.0], [], 1e-9)
+    # NaN entries are absent from their set
+    assert _same_set([1.0, np.nan], [1.0], 1e-9)
+    # one verdict per trial, each at its own tolerance
+    assert list(_match(np.array([[1.0], [1.0]]), np.array([[1.1], [1.1]]),
+                       np.array([0.2, 1e-3]))) == [True, False]
 
 
 # -- checkers ----------------------------------------------------------
 
+# ids name each check after the lemma it verifies
 @pytest.mark.parametrize("checker,pattern,n", [
-    (check_inclusion_FL, Pattern.ONE_WAY, 2),
-    (check_union_FLC, Pattern.ONE_WAY, 4),
-    (check_equality_TA, Pattern.TWO_SIDED, 2),
-    (check_equality_CTA, Pattern.TWO_SIDED, 5),
-    (check_LIP, Pattern.LEAD_IN, 2),
-    (check_n2c, Pattern.NILPOTENT_PAIR, 2),
-    (check_RSM, Pattern.CYCLIC, 3),
-    (check_RSM, Pattern.CYCLIC, 5),
+    pytest.param(_union_flc, Pattern.ONE_WAY, 2,
+                 id="check_inclusion_FL-one_way-2"),
+    pytest.param(_union_flc, Pattern.ONE_WAY, 4,
+                 id="check_union_FLC-one_way-4"),
+    pytest.param(_equality_cta, Pattern.TWO_SIDED, 2,
+                 id="check_equality_TA-two_sided-2"),
+    pytest.param(_equality_cta, Pattern.TWO_SIDED, 5,
+                 id="check_equality_CTA-two_sided-5"),
+    pytest.param(_lip, Pattern.LEAD_IN, 2, id="check_LIP-lead_in-2"),
+    pytest.param(_n2c, Pattern.NILPOTENT_PAIR, 2,
+                 id="check_n2c-nilpotent_pair-2"),
+    pytest.param(_rsm, Pattern.CYCLIC, 3, id="check_RSM-cyclic-3"),
+    pytest.param(_rsm, Pattern.CYCLIC, 5, id="check_RSM-cyclic-5"),
 ])
 def test_checkers_pass(checker, pattern, n):
-    for seed in (1, 2, 3):
-        assert checker(make_family(pattern, n, 18, seed=seed))
-
-
-def test_checker_pattern_mismatch():
-    fam = make_family(Pattern.TWO_SIDED, 2, 8, seed=0)
-    with pytest.raises(InvalidDataError):
-        check_inclusion_FL(fam)
+    assert list(checker(_make_stack(pattern, n, 18, [1, 2, 3]))) == [True] * 3
 
 
 def test_rsm_order_not_divisible_by_n():
     # block sizes differ, so the sum has defective zero eigenvalues;
     # the checker must still separate them from the genuine spectrum
     for order in (11, 17, 23):
-        assert check_RSM(make_family(Pattern.CYCLIC, 5, order, seed=3))
+        assert _rsm(_make_stack(Pattern.CYCLIC, 5, order, [3]))[0]
 
 
 def _long_chain_cyclic_family():
@@ -270,17 +289,16 @@ def _long_chain_cyclic_family():
     mu = np.trace(np.linalg.multi_dot(mats))
     mats[0] /= abs(mu)
     s = np.eye(order) + draw(order, order)
-    mats = [s @ a @ np.linalg.inv(s) for a in mats]
-    return AnnihilationFamily(tuple(mats), Pattern.CYCLIC, seed=1)
+    return np.stack([s @ a @ np.linalg.inv(s) for a in mats])
 
 
 def test_rsm_cut_separates_long_jordan_chains():
     fam = _long_chain_cyclic_family()
-    mods = np.sort(np.abs(eigenvalues(sum(fam.matrices))))
+    mods = np.sort(np.abs(eigenvalues(fam.sum(axis=0))))
     # the chains' spread lies between the cut's placement at 1/10 of
     # the genuine modulus and a cut 100 times lower
     assert 1e-3 < mods[-9] < 0.03 and abs(mods[-8] - 1.0) < 1e-6
-    assert check_RSM(fam)
+    assert _rsm(fam[None])[0]
 
 
 def test_run_checker():
@@ -308,14 +326,14 @@ def test_run_checker_reports_failing_seed(monkeypatch):
     assert len(calls) == 2 * STACK_TRIALS + 1 and len(failing) == 1
     # the reported seed rebuilds the family that failed
     alone = make_family(Pattern.TWO_SIDED, 2, 8, failing[0])
-    assert np.array_equal(np.stack(alone.matrices), calls[bad])
+    assert np.array_equal(alone, calls[bad])
 
 
 # -- truncation --------------------------------------------------------
 
 def test_truncation_monomial_exact():
     s = RationalSymbol((0, 0.5), (1,))
-    m = truncated_matrix(s, 16)
+    m = truncation_from_coeffs(s.num, s.den, 16)
     vals = np.sort(np.abs(eigenvalues(m)))[::-1]
     expected = 0.5 ** np.arange(16)
     assert np.max(np.abs(vals - expected)) < 1e-12
@@ -323,13 +341,13 @@ def test_truncation_monomial_exact():
 
 def test_truncation_first_column_is_one():
     s = RationalSymbol((-2, -1, 2), (-3, 0, 2))
-    m = truncated_matrix(s, 12)
+    m = truncation_from_coeffs(s.num, s.den, 12)
     assert m[0, 0] == 1.0 and np.all(m[1:, 0] == 0.0)
 
 
 def test_truncation_columns_are_symbol_powers():
     s = RationalSymbol((0, 0.25, 0.25), (1,))
-    m = truncated_matrix(s, 10)
+    m = truncation_from_coeffs(s.num, s.den, 10)
     # column 2 should hold the Taylor coefficients of phi^2
     phi = np.zeros(10, dtype=complex)
     phi[1] = phi[2] = 0.25

@@ -144,6 +144,19 @@ _POINT = {"zeta": [1, 0], "value": [1, 0], "d1": [0.5, 0], "d2": [0, 0]}
     ("render", {"full": 5}),
     ("render", {"full": [{"disk": "abc"}]}),
     ("render", {"full": [{"points": 5}]}),
+    # NaN, which json reads and writes as a bare literal, passes every
+    # comparison: it must not reach a report or an SVG
+    ("analyze", {"kind": "boundary-data",
+                 "points": [{"zeta": [1, 0], "value": [-1, 0],
+                             "d1": [-0.5, 0], "d2": [0, 0]}],
+                 "denjoy_wolff": {"omega": [math.nan, 0],
+                                  "derivative": [0.5, 0],
+                                  "location": "interior"}}),
+    ("analyze", {"kind": "boundary-data", "points": [_POINT],
+                 "denjoy_wolff": {"omega": [1, 0],
+                                  "derivative": [0.5, math.nan],
+                                  "location": "boundary"}}),
+    ("render", {"full": [{"points": [[math.nan, 0]]}]}),
 ])
 def test_malformed_document_typed_error(command, doc, tmp_path, capsys):
     path = tmp_path / "bad.json"
@@ -158,6 +171,24 @@ def test_malformed_document_typed_error(command, doc, tmp_path, capsys):
     assert not out.exists()
     err = capsys.readouterr().err.strip().splitlines()
     assert json.loads(err[-1])["error"]
+
+
+@pytest.mark.parametrize("name", ["lollipop", "two_cycle", "eight_point"])
+def test_reports_do_not_depend_on_coefficient_scale(name, tmp_path):
+    # (2^k N) / (2^k D) is the same map, and scaling by 2^k is exact in
+    # doubles, so every answer must be the same for k from -60 to 60
+    doc = json.loads((GOLDEN / f"{name}.symbol.json").read_text())
+    reports = set()
+    for k in range(-60, 61, 4):
+        scaled = {**doc, **{key: [[x * 2.0 ** k for x in c] for c in doc[key]]
+                            for key in ("num", "den")}}
+        path, out = tmp_path / "scaled.json", tmp_path / "report.json"
+        path.write_text(json.dumps(scaled))
+        assert run(["analyze", path, "--out", out]) == 0, k
+        report = json.loads(out.read_text())
+        del report["input"]
+        reports.add(json.dumps(report, sort_keys=True))
+    assert len(reports) == 1
 
 
 def test_usage_error_exit_64(capsys):

@@ -3,12 +3,16 @@ import cmath
 import numpy as np
 import pytest
 
-from compspec import (MobiusMap, SecondOrderData, compose, derivative,
-                      evaluate, fixed_points, lfm_from_data,
-                      is_disk_automorphism, second_derivative,
-                      halfplane_incarnation, IDENTITY_FIXED, AT_INFINITY)
+from compspec import (MobiusMap, SecondOrderData, derivative,
+                      fixed_points, lfm_from_data, is_disk_automorphism,
+                      second_derivative, IDENTITY_FIXED, AT_INFINITY)
 from compspec.errors import (DegenerateMapError, InvalidDataError, PoleError)
-from compspec.mobius import extract_data, from_halfplane
+from compspec.mobius import (compose, evaluate, extract_data,
+                             from_halfplane)
+
+# R(z) = (1+z)/(1-z) takes the disk onto the right half-plane
+R = MobiusMap(1, 1, -1, 1)
+R_INV = MobiusMap(1, -1, 1, 1)
 
 RNG = np.random.default_rng(20240817)
 
@@ -125,14 +129,16 @@ def test_parabolic_double_root_once():
 def test_halfplane_round_trip():
     for _ in range(20):
         m = random_map()
-        back = from_halfplane(halfplane_incarnation(m))
+        back = from_halfplane(compose(R, compose(m, R_INV)))
         assert back.close_to(m, tol=1e-9)
 
 
-def test_halfplane_incarnation_of_psi1_is_translation():
-    # R o psi1 o R^{-1} should be w -> w + 8
-    sigma = halfplane_incarnation(MobiusMap(-3, 4, -4, 5))
-    assert sigma.close_to(MobiusMap(1, 8, 0, 1), tol=1e-9)
+def test_from_halfplane_of_translation_is_psi1():
+    # psi1 is the disk map whose half-plane incarnation is w -> w + 8
+    psi1 = from_halfplane(MobiusMap(1, 8, 0, 1))
+    assert psi1.close_to(MobiusMap(-3, 4, -4, 5), tol=1e-9)
+    for z in (0.3, -0.5j, 0.2 + 0.6j):
+        assert abs(evaluate(R, psi1(z)) - (evaluate(R, z) + 8)) < 1e-9
 
 
 def test_lfm_from_data_parabolic():

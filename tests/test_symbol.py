@@ -39,6 +39,10 @@ def test_not_a_self_map_rejected():
 def test_constant_rejected():
     with pytest.raises(InvalidDataError):
         RationalSymbol((0.5,), (1,))
+    # 0.3 (1 + z/2) / (1 + z/2), whatever the scale of its coefficients
+    for scale in (1e-15, 1e-5, 1.0, 1e5, 1e15):
+        with pytest.raises(InvalidDataError, match="constant"):
+            RationalSymbol((0.3 * scale, 0.15 * scale), (scale, 0.5 * scale))
 
 
 def test_inner_symbols_rejected():

@@ -8,7 +8,8 @@ PARENT and CHANGE are checkouts of this repository.  The battery of
 symbol documents is built once, from this checkout's
 ``tests/golden`` and ``perfbench/gen.py``:
 
-* the four goldens;
+* the four goldens, and each rational golden with every coefficient
+  times 2^k for k in {-40, -20, 20, 40} (the same map);
 * ``gen.SWEEP`` and ``gen.PROJECTION_SLICE`` at seeds 1-5;
 * the parabolic maps ((2-t)z + t) / (-tz + 2 + t) for t in
   logspace(-3, 1, 40), each conjugated by three rotations;
@@ -58,6 +59,7 @@ SEEDS = range(1, 6)
 ROTATIONS = (0.0, 2.5, -1.0)
 LOLLIPOP = ((-2, -1, 2), (-3, 0, 2))
 LEMMA_SEEDS = range(4)
+GOLDEN_SCALES = (-40, -20, 20, 40)
 RSM_ORDERS = (11, 17, 23)
 
 
@@ -82,8 +84,15 @@ def battery() -> dict[str, dict]:
 
     docs = {}
     for path in sorted((ROOT / "tests" / "golden").glob("*.symbol.json")):
-        docs[f"golden-{path.name.split('.')[0]}"] = json.loads(
+        name = path.name.split(".")[0]
+        doc = docs[f"golden-{name}"] = json.loads(
             path.read_text(encoding="utf-8"))
+        if doc["kind"] == "rational":
+            for k in GOLDEN_SCALES:
+                docs[f"scaled-{name}-k{k}"] = {
+                    **doc, **{key: [[x * 2.0 ** k for x in c]
+                                    for c in doc[key]]
+                              for key in ("num", "den")}}
     for label, specs in (("sweep", gen.SWEEP),
                          ("slice", gen.PROJECTION_SLICE)):
         for seed in SEEDS:
