@@ -386,6 +386,8 @@ def truncation_from_coeffs(num_coeffs, den_coeffs, order: int) -> np.ndarray:
         raise InvalidDataError(f"order must be in [1, {MAX_ORDER}]")
     num_coeffs = np.asarray(num_coeffs, dtype=complex)
     den_coeffs = np.asarray(den_coeffs, dtype=complex)
+    if not (np.isfinite(num_coeffs).all() and np.isfinite(den_coeffs).all()):
+        raise InvalidDataError("coefficients must be finite")
     num = np.zeros(order, dtype=complex)
     den = np.zeros(order, dtype=complex)
     num[: min(order, len(num_coeffs))] = num_coeffs[:order]

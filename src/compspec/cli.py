@@ -33,15 +33,13 @@ import functools
 import json
 import sys
 
-import numpy as np
-
 from .algebra_lab import (eigenvalues, family_size, run_checker,
                           truncation_from_coeffs)
 from .errors import CompspecError, NotCertifiedError, NotInScopeError
 from .mobius import SecondOrderData
 from .render import region_svg
 from .spectrum import (Disk, GeometricTail, Points, Spiral, SpectralRegion,
-                       contains, probe_points, region, synthesize)
+                       contains, distance, region, synthesize)
 from .symbol import (Analysis, BoundaryDataSymbol, DenjoyWolffRecord,
                      Location, RationalSymbol, analyze, essential_norm_sq)
 
@@ -200,19 +198,6 @@ def _emit(doc: dict, out_path: str | None):
         sys.stdout.write(text)
 
 
-def _region_distance(r: SpectralRegion, lam: complex) -> float:
-    if contains(r, lam):
-        return 0.0
-    best = float("inf")
-    for p in r.primitives:
-        if isinstance(p, Disk):
-            best = min(best, max(0.0, abs(lam) - p.radius))
-    probes = probe_points(r)
-    if probes.size:
-        best = min(best, float(np.min(np.abs(probes - lam))))
-    return best
-
-
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
@@ -337,7 +322,8 @@ def cmd_truncate(args) -> int:
     try:
         report = synthesize(RationalSymbol(num, den))
         out["predicted_full"] = _region_json(report.full)
-        out["distances"] = [_region_distance(report.full, v) for v in vals]
+        out["distances"] = [0.0 if contains(report.full, v)
+                            else distance(report.full, v) for v in vals]
     except CompspecError as exc:
         out["diagnostics"] = {"no_prediction": str(exc)}
     _emit(out, args.out)

@@ -1,10 +1,16 @@
 """Spectral regions and the spectrum synthesizers.
 
-Regions are canonical unions of four primitives: a closed disk centered
-at the origin, a spiral {e^{-a t}: t >= 0} u {0} with Re(a) > 0 (the
-segment [0, 1] when a is real), a finite point set, and a geometric tail
-{base^k: k >= 0} u {0}.  Canonicalization keeps at most one disk (the
-largest) and drops primitives the disk absorbs.
+Regions are unions of four primitives: a closed disk centered at the
+origin, a spiral {e^{-a t}: t >= 0} u {0} with Re(a) > 0 (the segment
+[0, 1] when a is real), a finite point set, and a geometric tail
+{base^k: k >= 0} u {0}, the spiral a = -Log(base) at integer t.  The
+canonical form keeps the largest disk (at radius >= 1 it absorbs every
+spiral and tail), one spiral per shape Im(a)/Re(a) (the set depends on a
+only through it), no tail whose base lies on a kept spiral or tail (by
+decreasing |base|; one beside a smaller disk stays) and the points no
+other primitive holds.  :func:`region_equal` compares canonical forms;
+one exact routine, the distance to a primitive, gives :func:`distance`,
+:func:`contains` and the ``truncate`` distances.
 
 Synthesis reads boundary data only (see :func:`compspec.symbol.analyze`)
 and dispatches on the Denjoy-Wolff data and the orbit partition:
@@ -32,7 +38,7 @@ from .symbol import (Analysis, DenjoyWolffRecord, Location, Symbol,
 
 __all__ = [
     "Disk", "Spiral", "Points", "GeometricTail", "SpectralRegion",
-    "region", "contains", "max_modulus", "region_equal", "probe_points",
+    "region", "contains", "distance", "max_modulus", "region_equal",
     "SpectrumReport", "lft_spectra", "rho", "rho_star", "synthesize",
     "spectral_radius_check", "kms2t_essential_union",
 ]
@@ -86,15 +92,10 @@ class SpectralRegion:
 
 
 def region(*primitives) -> SpectralRegion:
-    """Canonical union: one largest disk, absorbed primitives dropped,
-    points deduplicated.  Idempotent."""
+    """Canonical union (see the module docstring).  Idempotent."""
     disks, spirals, tails, points = [], [], [], []
     for p in primitives:
-        if isinstance(p, SpectralRegion):
-            primitives2 = p.primitives
-        else:
-            primitives2 = (p,)
-        for q in primitives2:
+        for q in (p.primitives if isinstance(p, SpectralRegion) else (p,)):
             if isinstance(q, Disk):
                 disks.append(q)
             elif isinstance(q, Spiral):
@@ -106,92 +107,130 @@ def region(*primitives) -> SpectralRegion:
             else:
                 raise InvalidDataError(f"unknown primitive {q!r}")
     out = []
-    r = max((d.radius for d in disks), default=None)
-    if r is not None and r > EPS:
+    r = max((d.radius for d in disks), default=-1.0)
+    if r > EPS:
         out.append(Disk(r))
-    else:
-        # a zero-radius disk is just the origin
-        if r is not None:
-            points.append(0.0 + 0.0j)
-        r = None
+    elif r >= 0.0:   # a zero-radius disk is just the origin
+        points.append(0.0 + 0.0j)
     # sup modulus of a spiral or tail is 1 (at t = 0 / k = 0)
-    for sp in spirals:
-        if r is None or r < 1.0 - EPS:
-            if not any(abs(sp.a - other.a) <= EPS for other in out
-                       if isinstance(other, Spiral)):
+    if r < 1.0 - EPS:
+        for sp in spirals:
+            if not any(abs(_key(sp) - _key(o)) <= EPS for o in out
+                       if isinstance(o, Spiral)):
                 out.append(sp)
-    for tl in tails:
-        if r is None or r < 1.0 - EPS:
+        for tl in sorted(tails, key=lambda t: -abs(t.base)):
             if abs(tl.base) <= EPS:
                 points.extend([0.0 + 0.0j, 1.0 + 0.0j])
-            elif not any(isinstance(o, GeometricTail)
-                         and abs(tl.base - o.base) <= EPS for o in out):
+            elif not any(_distance(o, tl.base, 2 * EPS) <= EPS for o in out
+                         if not isinstance(o, Disk)):
                 out.append(tl)
     kept: list[complex] = []
-    pre = SpectralRegion(tuple(out))
-    for v in points:
-        v = complex(v)
-        if any(abs(v - w) <= EPS for w in kept):
-            continue
-        if out and contains(pre, v):
-            continue
-        kept.append(v)
+    for v in map(complex, points):
+        if not (any(abs(v - w) <= EPS for w in kept)
+                or contains(SpectralRegion(tuple(out)), v)):
+            kept.append(v)
     if kept:
         out.append(Points(tuple(sorted(kept, key=lambda z: (z.real, z.imag)))))
     return SpectralRegion(tuple(out))
 
 
-def _spiral_contains(sp: Spiral, lam: complex, eps: float) -> bool:
-    if abs(lam) <= eps:
-        return True
-    if abs(lam) > 1.0 + eps:
-        return False
-    # solve e^{-a t} = lam over branch offsets with Im(t) ~ 0, t >= 0
-    a = sp.a
-    log_mod = math.log(abs(lam))
-    arg = cmath.phase(lam)
-    kmax = int(math.ceil(abs(log_mod) * abs(a.imag) / (2.0 * math.pi * a.real))) + 2
-    for k in range(-kmax, kmax + 1):
-        t = -(log_mod + 1j * (arg + 2.0 * math.pi * k)) / a
-        if abs(t.imag) <= eps * max(1.0, abs(t)) and t.real >= -eps:
-            # verify to guard against branch rounding
-            if abs(cmath.exp(-a * t.real) - lam) <= 10 * eps:
-                return True
-    return False
+def _key(p) -> complex:
+    """A disk's radius, a spiral's shape Im(a)/Re(a) or a tail's base."""
+    return (p.radius if isinstance(p, Disk) else p.base
+            if isinstance(p, GeometricTail) else p.a.imag / p.a.real)
+
+
+def _refine(a: complex, lam: complex, t: float, h: float) -> float:
+    """Distance from lam to e^{-as}, |s - t| <= h, s >= 0, by Newton."""
+    lo, hi = max(t - h, 0.0), t + h
+    for _ in range(30):
+        w = cmath.exp(-a * t)
+        g = a * w * (w - lam).conjugate()   # d/dt |w - lam|^2 = -2 Re(g)
+        dg = -(a * g).real - abs(a * w) ** 2
+        if dg >= 0.0:
+            break
+        t, prev = min(max(t - g.real / dg, lo), hi), t
+        if abs(t - prev) <= 1e-15 * (1.0 + t):
+            break
+    return abs(cmath.exp(-a * t) - lam)
+
+
+def _curve(a: complex, lam: complex, upto: float, integer: bool) -> float:
+    """Distance from lam to {e^{-at}: t >= 0} u {0}, t integer if `integer`:
+    exact below upto, else >= upto.  Only t where |e^{-Re(a) t} - |lam||
+    is below the best so far are searched, outward from modulus |lam|, and
+    a spiral refines each sample that may hide a closer point by Newton."""
+    r, alpha = abs(lam), a.real
+    if a.imag == 0.0:   # the curve lies on [0, 1]
+        x = min(max(lam.real, 0.0), 1.0)
+        if integer and 0.0 < x < 1.0:   # the powers on either side of x
+            k = math.log(x) / -alpha
+            return min(abs(lam - math.exp(-alpha * j))
+                       for j in (math.floor(k), math.ceil(k)))
+        return abs(lam - x)
+    best = min(upto, r)   # the limit point 0
+    if best <= 0.0:
+        return best
+    h = 1.0 if integer else 0.1 / abs(a)   # the sample spacing in t
+    # spiral seeds: t = 0, modulus |lam|, the crossings of lam's ray near it
+    t0 = max(-math.log(r) / alpha, 0.0)
+    period = 2.0 * math.pi / abs(a.imag)
+    tc = t0 - (t0 + cmath.phase(lam) / a.imag) % period
+    for s in () if integer else (0.0, t0, max(tc, 0.0), tc + period):
+        best = min(best, abs(cmath.exp(-a * s) - lam))
+    left = right = round(t0 / h)   # grid indices [left, right) are done
+    while True:
+        lo = math.floor(-math.log(min(r + best, 1.0)) / alpha / h)
+        hi = math.ceil(-math.log(max(r - best, r / 1e16, 1e-300)) / alpha / h)
+        # floor r/1e16: no point below beats 0; <= 65,536 values a chunk
+        lo, hi = max(lo, left - 32768), min(hi + 1, right + 32768)
+        t = np.r_[lo:left, right:hi] * h
+        if not t.size:
+            break
+        left, right = min(left, lo), max(right, hi)
+        w = np.exp(-a * t)
+        f = np.abs(w - lam)
+        best = min(best, float(f.min()))
+        if not integer:
+            lower = f - 1.2 * h * abs(a) * np.abs(w)   # arc to a neighbour
+            cand = np.flatnonzero(lower < best)
+            for i in cand[np.argsort(f[cand])]:
+                if lower[i] < best:
+                    best = min(best, _refine(a, lam, float(t[i]), h))
+    return best
+
+
+def _distance(p, lam: complex, upto: float) -> float:
+    """Distance from lam to p: exact below upto, otherwise >= upto."""
+    if not cmath.isfinite(lam):
+        return math.inf
+    if isinstance(p, Disk):
+        return max(abs(lam) - p.radius, 0.0)
+    if isinstance(p, Points):
+        return min((abs(lam - v) for v in p.values), default=math.inf)
+    if isinstance(p, Spiral):
+        return _curve(p.a, lam, upto, False)
+    b = p.base
+    if b.real < 0.0 and b.imag == 0.0:   # even and odd powers: b^2 and b b^2
+        even = GeometricTail(b * b)
+        return min(_distance(even, lam, upto),
+                   -b.real * _distance(even, lam / b, upto / -b.real))
+    return (_curve(-cmath.log(b), lam, upto, True) if b
+            else min(abs(lam), abs(lam - 1.0)))
+
+
+def distance(r: SpectralRegion, lam: complex) -> float:
+    """Exact distance from lam to r; disks and points bound the curves."""
+    lam, best = complex(lam), math.inf
+    for p in sorted(r.primitives,
+                    key=lambda p: isinstance(p, (Spiral, GeometricTail))):
+        best = min(best, _distance(p, lam, best))
+    return best
 
 
 def contains(r: SpectralRegion, lam: complex, eps: float = EPS) -> bool:
     lam = complex(lam)
-    for p in r.primitives:
-        if isinstance(p, Disk):
-            if abs(lam) <= p.radius + eps:
-                return True
-        elif isinstance(p, Points):
-            if any(abs(lam - v) < eps for v in p.values):
-                return True
-        elif isinstance(p, GeometricTail):
-            if abs(lam) <= eps:
-                return True
-            b = p.base
-            if abs(b) <= eps:
-                if abs(lam - 1.0) < eps:
-                    return True
-                continue
-            if not cmath.isfinite(lam):
-                continue
-            # only powers with |b|^k in (|lam| - eps, |lam| + eps) can lie
-            # within eps of lam, and |b|^k decreases with k
-            k = max(0, math.floor(math.log(abs(lam) + eps)
-                                  / math.log(abs(b))))
-            w = b ** k
-            while abs(w) >= eps and abs(w) > abs(lam) - eps:
-                if abs(lam - w) < eps:
-                    return True
-                w *= b
-        elif isinstance(p, Spiral):
-            if _spiral_contains(p, lam, eps):
-                return True
-    return False
+    return any(_distance(p, lam, 2.0 * eps) <= eps for p in r.primitives)
 
 
 def max_modulus(r: SpectralRegion) -> float:
@@ -206,38 +245,18 @@ def max_modulus(r: SpectralRegion) -> float:
     return out
 
 
-def probe_points(r: SpectralRegion) -> np.ndarray:
-    """Deterministic dense samples of the region, for equality testing."""
-    probes: list[complex] = []
-    for p in r.primitives:
-        if isinstance(p, Disk):
-            for k in range(9):
-                rad = p.radius * k / 8.0
-                ang = np.exp(2j * np.pi * np.arange(32) / 32.0)
-                probes.extend(rad * ang)
-        elif isinstance(p, Spiral):
-            t_end = -math.log(1e-6) / p.a.real
-            for t in np.linspace(0.0, t_end, 400):
-                probes.append(cmath.exp(-p.a * t))
-            probes.append(0.0 + 0.0j)  # the spiral's limit point
-        elif isinstance(p, GeometricTail):
-            w = 1.0 + 0.0j
-            while abs(w) > 1e-12:
-                probes.append(w)
-                if abs(p.base) == 0.0:
-                    break
-                w *= p.base
-            probes.append(0.0 + 0.0j)
-        elif isinstance(p, Points):
-            probes.extend(p.values)
-    return np.array(probes, dtype=complex)
-
-
 def region_equal(a: SpectralRegion, b: SpectralRegion,
                  tol: float = 1e-8) -> bool:
-    """Two-sided probe containment at the given tolerance."""
-    return (all(contains(b, z, eps=tol) for z in probe_points(a))
-            and all(contains(a, z, eps=tol) for z in probe_points(b)))
+    """Structural equality of canonical forms: disk radii, spiral shapes
+    and tail bases agree within tol, and every point of either side lies
+    within tol of the other region."""
+    a, b = region(a), region(b)
+    return all(
+        all(contains(other, v, tol) for v in p.values)
+        if isinstance(p, Points) else
+        any(type(q) is type(p) and abs(_key(q) - _key(p)) <= tol
+            for q in other.primitives)
+        for one, other in ((a, b), (b, a)) for p in one.primitives)
 
 
 # ----------------------------------------------------------------------

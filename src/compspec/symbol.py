@@ -142,6 +142,11 @@ class RationalSymbol:
         d = _trim(self.den)
         if np.max(np.abs(d)) == 0:
             raise InvalidDataError("denominator is identically zero")
+        object.__setattr__(self, "num", tuple(n))
+        object.__setattr__(self, "den", tuple(d))
+        # an exact (bar subnormals) power-of-two rescale: u, g cannot overflow
+        e = np.frexp(max(np.max(np.abs(n)), np.max(np.abs(d))))[1]
+        n, d = (np.ldexp(c.view(float), -e).view(complex) for c in (n, d))
         if max(n.size, d.size) - 1 > DEGREE_CAP:
             raise InvalidDataError(f"degree exceeds cap {DEGREE_CAP}")
         if d.size > 1:
@@ -167,8 +172,6 @@ class RationalSymbol:
         if np.max(np.abs(g)) <= 1e-12 * scale:
             raise NotInScopeError("not in scope: inner symbol")
         v = _sub(_mul(_der(u), d), _mul(_mul(u, dd), [2.0]))
-        object.__setattr__(self, "num", tuple(n))
-        object.__setattr__(self, "den", tuple(d))
         object.__setattr__(self, "_polys", _Polys(n, d, g))
         object.__setattr__(self, "_desc", tuple(
             tuple(a[::-1].tolist()) for a in (d, n, u, v)))

@@ -176,10 +176,11 @@ def test_malformed_document_typed_error(command, doc, tmp_path, capsys):
 @pytest.mark.parametrize("name", ["lollipop", "two_cycle", "eight_point"])
 def test_reports_do_not_depend_on_coefficient_scale(name, tmp_path):
     # (2^k N) / (2^k D) is the same map, and scaling by 2^k is exact in
-    # doubles, so every answer must be the same for k from -60 to 60
+    # doubles, so every answer must be the same for k from -60 to 60, and
+    # out at +-540, where N'D - ND' would under- or overflow unscaled
     doc = json.loads((GOLDEN / f"{name}.symbol.json").read_text())
     reports = set()
-    for k in range(-60, 61, 4):
+    for k in [*range(-60, 61, 4), -540, 540]:
         scaled = {**doc, **{key: [[x * 2.0 ** k for x in c] for c in doc[key]]
                             for key in ("num", "den")}}
         path, out = tmp_path / "scaled.json", tmp_path / "report.json"
@@ -342,6 +343,18 @@ def test_truncate_order_above_the_eigen_solver_cap(tmp_path, capsys):
     assert run(["truncate", doc, "--order", "129", "--out", out]) == 1
     assert not out.exists()
     assert "order must be in [1, 128]" in capsys.readouterr().err
+
+
+def test_truncate_non_finite_coefficient_typed_error(tmp_path, capsys):
+    doc = tmp_path / "nan.json"
+    doc.write_text(json.dumps({"kind": "rational",
+                               "num": [[0, 0], [math.nan, 0]],
+                               "den": [[1, 0]]}))
+    out = tmp_path / "trunc.json"
+    assert run(["truncate", doc, "--order", "4", "--out", out]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(err[-1])["error"] == "coefficients must be finite"
 
 
 def test_svg_deterministic(tmp_path):

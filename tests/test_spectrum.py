@@ -1,6 +1,7 @@
 import cmath
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from compspec import (Disk, GeometricTail, MobiusMap, Points, Spiral,
                       synthesize)
 from compspec.config import EPS
 from compspec.errors import InvalidDataError, NotCertifiedError
-from compspec.spectrum import probe_points
+from compspec.spectrum import distance
 from conftest import ROOT12
 
 RNG = np.random.default_rng(411)
@@ -159,11 +160,129 @@ def test_region_equal():
     assert region_equal(region(Spiral(8)), region(Spiral(8 + 1e-12)))
 
 
-def test_probe_points_lie_in_region():
+def test_spirals_of_one_shape_are_one_spiral():
+    # {e^{-at}} depends on a only through Im(a)/Re(a)
+    assert region(Spiral(1), Spiral(2)).primitives == (Spiral(1),)
+    assert region(Spiral(1 + 3j), Spiral(2 + 6j)).primitives == (
+        Spiral(1 + 3j),)
+    assert len(region(Spiral(1 + 3j), Spiral(1 - 3j)).primitives) == 2
+
+
+def test_tail_on_a_curve_is_dropped():
+    a = 1 + 3j
+    on_spiral = GeometricTail(cmath.exp(-a * 0.7))
+    assert region(Spiral(a), on_spiral).primitives == (Spiral(a),)
+    assert region(GeometricTail(0.25), GeometricTail(0.5)).primitives == (
+        GeometricTail(0.5),)
+    assert len(region(GeometricTail(0.5), GeometricTail(0.3)).primitives) == 2
+    assert region_equal(region(Spiral(8), GeometricTail(0.5)),
+                        region(Spiral(1)))
+
+
+# -- distance ----------------------------------------------------------
+
+def _oracle(r):
+    """Dense samples of r and a bound on how far a point of r can lie
+    from its nearest sample (0 where the samples are every point)."""
+    samples, slack = [np.zeros(1, complex)], 0.0
+    for p in r.primitives:
+        if isinstance(p, Spiral):
+            # uniform in the modulus rho = e^{-Re(a) t}, so the arc
+            # between neighbours is |a| / Re(a) / n
+            n = 400_000
+            t = -np.log(np.linspace(1.0, 0.0, n, endpoint=False)) / p.a.real
+            samples.append(np.exp(-p.a * t))
+            slack = max(slack, abs(p.a) / p.a.real / n)
+        elif isinstance(p, GeometricTail):
+            k = np.arange(int(math.log(1e-14) / math.log(abs(p.base))) + 1)
+            samples.append(p.base ** k)
+        elif isinstance(p, Points):
+            samples.append(np.array(p.values))
+    disks = [p.radius for p in r.primitives if isinstance(p, Disk)]
+    return np.concatenate(samples), slack, disks
+
+
+def _dense_distance(oracle, lam):
+    samples, _, disks = oracle
+    return min([float(np.min(np.abs(samples - lam)))]
+               + [max(abs(lam) - d, 0.0) for d in disks])
+
+
+def _probes(r, rng):
+    """Points near and on r, and anywhere in the box |Re|, |Im| < 1.6."""
+    lams = list(rng.uniform(-1.6, 1.6, 8) + 1j * rng.uniform(-1.6, 1.6, 8))
+    for p in r.primitives:
+        if isinstance(p, Spiral):
+            on = [cmath.exp(-p.a * t) for t in rng.uniform(0.0, 3.0, 3)]
+        elif isinstance(p, GeometricTail):
+            on = [p.base ** k for k in range(4)]
+        elif isinstance(p, Points):
+            on = list(p.values)
+        else:
+            on = [p.radius * cmath.exp(1j * rng.uniform(0, 2 * math.pi))]
+        for z in on:
+            lams += [z, z + 1e-3 * cmath.exp(1j * rng.uniform(0, 2 * math.pi)),
+                     z * (1 + 1e-10)]
+    return lams
+
+
+def test_distance_matches_a_dense_oracle():
+    rng = np.random.default_rng(12)
+    real_bases = [region(GeometricTail(b), Spiral(2 - 1j))
+                  for b in (0.8, -0.7, -0.3)]
+    for r in [random_region() for _ in range(20)] + real_bases:
+        oracle = _oracle(r)
+        for lam in _probes(r, rng):
+            d, dense = distance(r, lam), _dense_distance(oracle, lam)
+            # exact: never above a point of r, never below the samples
+            # by more than their spacing
+            assert dense - oracle[1] - 1e-12 <= d <= dense + 1e-12, (r, lam)
+
+
+def test_contains_is_distance_within_eps():
+    rng = np.random.default_rng(13)
     for _ in range(20):
         r = random_region()
-        for z in probe_points(r):
-            assert contains(r, z)
+        for lam in _probes(r, rng):
+            assert contains(r, lam) == (distance(r, lam) <= EPS), (r, lam)
+    assert distance(region(), 0.5) == math.inf
+    assert not contains(region(Spiral(1 + 3j)), complex(math.nan, 0))
+
+
+def test_distance_is_exact_where_samples_were_not():
+    # a sampled distance gave 0.00415 and 0.0049 here
+    assert distance(region(Spiral(8)), 0.37 + 0.002j) == pytest.approx(
+        0.002, rel=1e-12)
+    a = 1 + 3j
+    lam = 1.003 * cmath.exp(-0.8 * a)
+    d = distance(region(Spiral(a)), lam)
+    assert d == pytest.approx(0.00127900393707, rel=1e-9)
+    assert d <= abs(cmath.exp(-0.8 * a) - lam)
+
+
+@pytest.mark.parametrize("base", [0.9999999, -0.9999999,
+                                  0.9999999 * cmath.exp(2j)],
+                         ids=["real", "negative", "rotating"])
+def test_near_unimodular_tail_is_not_sampled(base):
+    # ~2.8e8 powers lie above 1e-12: sampling them needed gigabytes
+    r = region(GeometricTail(base))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        assert region_equal(r, r)
+        assert not region_equal(r, region(GeometricTail(base * (1 - 1e-6))))
+        dists = [distance(r, lam) for lam in (0.5j, 0.3 + 0.5j, -0.5, 2.0)]
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 2.0 and peak < 50e6
+    assert dists[3] == pytest.approx(1.0, abs=1e-6)
+    if base.imag == 0:   # every power lies on the real line
+        assert dists[:2] == [0.5, pytest.approx(0.5, rel=1e-15)]
+        assert dists[2] == (0.5 if base > 0 else pytest.approx(0, abs=1e-7))
+    else:                # the powers turn densely: all lie close
+        assert max(dists[:3]) < 1e-2
 
 
 # -- linear-fractional dispatch ----------------------------------------

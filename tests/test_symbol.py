@@ -40,9 +40,13 @@ def test_constant_rejected():
     with pytest.raises(InvalidDataError):
         RationalSymbol((0.5,), (1,))
     # 0.3 (1 + z/2) / (1 + z/2), whatever the scale of its coefficients
-    for scale in (1e-15, 1e-5, 1.0, 1e5, 1e15):
+    for scale in (2.0 ** -540, 1e-170, 1e-15, 1e-5, 1.0, 1e5, 1e15, 1e200):
         with pytest.raises(InvalidDataError, match="constant"):
             RationalSymbol((0.3 * scale, 0.15 * scale), (scale, 0.5 * scale))
+        # z/2 is not constant at any scale, and keeps its coefficients
+        half = RationalSymbol((0, scale), (2 * scale,))
+        assert half.num == (0, scale) and half.den == (2 * scale,)
+        assert half.value(0.5) == 0.25 and half.deriv(0.3) == 0.5
 
 
 def test_inner_symbols_rejected():
@@ -171,7 +175,14 @@ def test_construction_matches_numpy_polynomial(coefficients):
         s = RationalSymbol(*coefficients)
     except InvalidDataError:
         assume(False)  # a constant symbol
-    n, d = np.array(s.num), np.array(s.den)
+    # the construction works on N and D divided by one power of two,
+    # which rounds only values it makes subnormal
+    n, d = s._polys.n, s._polys.d
+    given = np.concatenate([s.num, s.den]).view(float)
+    scaled = np.concatenate([n, d]).view(float)
+    scale = np.abs(given).max() / np.abs(scaled).max()
+    assert math.frexp(scale)[0] == 0.5
+    assert np.all(np.abs(scaled * scale - given) <= scale / 2 * 2.0 ** -1074)
     deg = max(n.size, d.size) - 1
 
     def reflect(c):

@@ -9,7 +9,7 @@ symbol documents is built once, from this checkout's
 ``tests/golden`` and ``perfbench/gen.py``:
 
 * the four goldens, and each rational golden with every coefficient
-  times 2^k for k in {-40, -20, 20, 40} (the same map);
+  times 2^k for k in {-540, -40, -20, 20, 40, 540} (the same map);
 * ``gen.SWEEP`` and ``gen.PROJECTION_SLICE`` at seeds 1-5;
 * the parabolic maps ((2-t)z + t) / (-tz + 2 + t) for t in
   logspace(-3, 1, 40), each conjugated by three rotations;
@@ -27,13 +27,15 @@ symbol documents is built once, from this checkout's
 For each tree a worker process imports ``compspec`` from the tree's
 ``src/`` and calls ``compspec.cli.main`` in-process for
 ``analyze --out --svg``, ``classify``, ``boundary`` and ``spectrum`` on
-every document, in the same working-directory layout.  It also runs a
-``lemma-check --out`` battery: the benchmark's suites
-(``perfbench/run.py`` ``LEMMA_SUITES``, at its trials per request) and
-rsm with n = 5 at orders 11, 17 and 23, where the order is not
-divisible by n, each at master seeds 0-3.  Every difference in exit
-code, stdout, stderr, report bytes or SVG bytes is printed; the exit
-status is 0 when there is none, 1 otherwise.
+every document, and ``truncate --order 32 --out`` on every rational one
+(so its ``distances`` are compared), in the same working-directory
+layout.  It also runs a ``lemma-check --out`` battery: the benchmark's
+suites (``perfbench/run.py`` ``LEMMA_SUITES``, at its trials per
+request) and rsm with n = 5 at orders 11, 17 and 23, where the order is
+not divisible by n, each at master seeds 0-3.  Every difference in exit
+code, stdout, stderr, report bytes or SVG bytes is printed (an uncaught
+exception counts as exit 1, with its type and message as stderr); the
+exit status is 0 when there is none, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -59,7 +61,8 @@ SEEDS = range(1, 6)
 ROTATIONS = (0.0, 2.5, -1.0)
 LOLLIPOP = ((-2, -1, 2), (-3, 0, 2))
 LEMMA_SEEDS = range(4)
-GOLDEN_SCALES = (-40, -20, 20, 40)
+GOLDEN_SCALES = (-540, -40, -20, 20, 40, 540)
+TRUNCATE = ["--order", "32", "--out", "report.json"]
 RSM_ORDERS = (11, 17, 23)
 
 
@@ -139,7 +142,13 @@ def lemma_runs() -> dict[str, list[str]]:
 def _call(main, argv) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except Exception as exc:
+            # a crash is an answer too: the command-line process would
+            # print a traceback and exit 1
+            code = 1
+            err.write(f"uncaught {type(exc).__name__}: {exc}\n")
     return code, out.getvalue(), err.getvalue()
 
 
@@ -174,6 +183,8 @@ def worker(docdir: Path, result: Path) -> None:
             if cmd == "analyze":
                 argv += ["--out", "report.json", "--svg", "fig.svg"]
             runs[cmd] = _run(main, argv)
+        if json.loads(doc.read_text(encoding="utf-8"))["kind"] == "rational":
+            runs["truncate"] = _run(main, ["truncate", str(doc)] + TRUNCATE)
         answers[doc.stem] = runs
     for name, argv in lemma_runs().items():
         answers[name] = {"lemma-check": _run(main, argv)}
