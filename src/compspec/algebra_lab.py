@@ -392,7 +392,7 @@ def truncation_from_coeffs(num_coeffs, den_coeffs, order: int) -> np.ndarray:
     den = np.zeros(order, dtype=complex)
     num[: min(order, len(num_coeffs))] = num_coeffs[:order]
     den[: min(order, len(den_coeffs))] = den_coeffs[:order]
-    if abs(den[0]) < 1e-14:
+    if abs(den[0]) <= 1e-14 * np.abs(den_coeffs).max(initial=0.0):
         raise InvalidDataError("denominator constant term is ~0")
     # series division num / den to `order` terms
     series = np.zeros(order, dtype=complex)

@@ -12,16 +12,14 @@ symbol and its order-2 certificate.  It is the one place that knows the
 kind.  Every other public function accepts either kind or an analysis
 and reduces it once at entry.
 
-Boundary contact points of a rational symbol are located as unit-circle
-roots of the reflection polynomial
-
-    G(z) = N(z) * N~(z) - D(z) * D~(z),
-
-where P~(z) = z^deg * conj(P)(1/z), found via the companion matrix and
-Newton-polished on the tangency condition (the contact angle is a
-critical point of |phi(e^{i theta})|^2, so polishing the derivative of
-that function converges quadratically even though the contact itself is
-a double root).
+The self-map test and the contact set of a rational symbol are read off
+the circle critical points of T = |N|^2 - |D|^2: the circle roots of
+H = z G' - deg G, where G = N N~ - D D~ (P~(z) = z^deg conj(P)(1/z)) and
+T(theta) = e^{-i deg theta} G(e^{i theta}).  phi is a self-map when
+|phi| <= 1 + EPS there and at z = 1.  T is monotone between critical
+points, so a contact is a maximal cyclic run of them where |phi| = 1 to
+1e-8, of multiplicity run length + 1 (an order-2 contact is a simple
+root of H), Newton-polished on d/dtheta |phi|^2 from the run's middle.
 
 Scalar evaluation of phi, phi' and phi'' runs Horner's rule over Python
 complex coefficients: a numpy call per point costs more than its arithmetic.
@@ -33,7 +31,7 @@ numpy.polynomial helpers, giving the same doubles.
 from __future__ import annotations
 
 import enum
-import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -54,7 +52,6 @@ __all__ = [
 ]
 
 DEGREE_CAP = 64
-_BOUNDARY_GRID = 4096
 # candidates this far inside the circle are treated as interior; boundary
 # roots of the fixed-point polynomial can be off by ~sqrt(machine eps) in
 # the parabolic (double-root) case, so the margin must dominate that
@@ -110,21 +107,30 @@ def _sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _trimseq(out)
 
 
-@functools.cache
-def _boundary_circle() -> np.ndarray:
-    """The self-map test's sample points, built on first use (not at
-    import) and shared, read-only, by every symbol."""
-    theta = 2.0 * np.pi * np.arange(_BOUNDARY_GRID) / _BOUNDARY_GRID
-    z = np.exp(1j * theta)
-    z.flags.writeable = False
-    return z
+def _reflection(n: np.ndarray, d: np.ndarray, deg: int) -> np.ndarray:
+    """The reflection polynomial G = N N~ - D D~ of degree-deg N and D."""
+    return _trim(_sub(_mul(n, _reflect(n, deg)), _mul(d, _reflect(d, deg))))
+
+
+def _roots(c: np.ndarray) -> np.ndarray:
+    """Companion-matrix roots of c; a failed solve is a typed error."""
+    try:
+        with np.errstate(all="ignore"):   # the result is checked below
+            roots = P.polyroots(c)
+        if np.all(np.isfinite(roots)):
+            return roots
+    except np.linalg.LinAlgError:
+        pass
+    raise RootFindingError("companion-matrix root finding failed")
 
 
 class _Polys(NamedTuple):
-    """Coefficients of phi = N/D, built once with the symbol."""
+    """Coefficients of phi = N/D, built once with the symbol, and the
+    circle critical points of T by angle in [0, 2 pi), with |phi| at each."""
     n: np.ndarray
     d: np.ndarray
-    g: np.ndarray   # the reflection polynomial G
+    critical: np.ndarray
+    modulus: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -150,12 +156,17 @@ class RationalSymbol:
         if max(n.size, d.size) - 1 > DEGREE_CAP:
             raise InvalidDataError(f"degree exceeds cap {DEGREE_CAP}")
         if d.size > 1:
-            roots = P.polyroots(d)
+            roots = _roots(d)
             bad = roots[np.abs(roots) <= 1.0 + EPS]
             if bad.size:
                 raise InvalidDataError(
                     f"denominator roots in the closed disk: {bad}")
-        z = _boundary_circle()
+        deg = max(n.size, d.size) - 1
+        g = _reflection(n, d, deg)
+        roots = _roots(g * (np.arange(g.size) - deg))   # H = z G' - deg G
+        near = roots[np.abs(np.abs(roots) - 1.0) < 1e-3]
+        crit = np.exp(1j * np.sort(np.angle(near) % (2.0 * np.pi)))
+        z = np.append(crit, 1.0)
         vals = np.abs(P.polyval(z, n) / P.polyval(z, d))
         if np.max(vals) > 1.0 + EPS:
             raise InvalidDataError(
@@ -166,13 +177,11 @@ class RationalSymbol:
         u = _sub(_mul(_der(n), d), _mul(n, dd))
         if np.max(np.abs(u)) <= EPS * np.max(np.abs(n)) * np.max(np.abs(d)):
             raise InvalidDataError("symbol is constant")
-        deg = max(n.size, d.size) - 1
-        g = _trim(_sub(_mul(n, _reflect(n, deg)), _mul(d, _reflect(d, deg))))
         scale = max(np.max(np.abs(n)), np.max(np.abs(d))) ** 2
         if np.max(np.abs(g)) <= 1e-12 * scale:
             raise NotInScopeError("not in scope: inner symbol")
         v = _sub(_mul(_der(u), d), _mul(_mul(u, dd), [2.0]))
-        object.__setattr__(self, "_polys", _Polys(n, d, g))
+        object.__setattr__(self, "_polys", _Polys(n, d, crit, vals[:-1]))
         object.__setattr__(self, "_desc", tuple(
             tuple(a[::-1].tolist()) for a in (d, n, u, v)))
 
@@ -322,8 +331,8 @@ class S2Certificate:
 class Analysis:
     """A symbol reduced to boundary data by :func:`analyze`.  The
     certificate's checks follow ``boundary.points`` and carry each
-    point's multiplicity as a root of the reflection polynomial (1 for
-    declared data)."""
+    point's multiplicity as a zero of |N|^2 - |D|^2 on the circle (1
+    for declared data)."""
 
     boundary: BoundaryDataSymbol
     certificate: S2Certificate
@@ -380,32 +389,22 @@ def _polish_contact(s: RationalSymbol, theta0: float) -> float:
 
 
 def contact_points(s: RationalSymbol) -> list[ContactPoint]:
-    """Contact points of a rational symbol with their reflection-polynomial
-    multiplicities: the root-finding step of :func:`analyze`."""
-    roots = P.polyroots(s._polys.g)
-    if not np.all(np.isfinite(roots)):
-        raise RootFindingError("companion-matrix root finding failed")
-    unit = roots[np.abs(np.abs(roots) - 1.0) < 1e-6]
-    polished = []
-    for r in unit:
-        theta = _polish_contact(s, float(np.angle(r)))
+    """Contact points of a rational symbol by angle in [0, 2 pi), with
+    their multiplicities: the contact-locating step of :func:`analyze`."""
+    crit, on = s._polys.critical, np.abs(s._polys.modulus - 1.0) < 1e-8
+    off = np.flatnonzero(~on)   # start the cycle off every run
+    cycle = np.roll(np.arange(on.size), -off[0] if off.size else 0)
+    contacts, runs = [], itertools.groupby(cycle, on.__getitem__)
+    for run in (list(g) for k, g in runs if k):
+        theta = _polish_contact(s, float(np.angle(crit[run[len(run) // 2]])))
         z = complex(np.exp(1j * theta))
         # components below 1e-15 are roundoff of an exact zero (as in
         # Im e^{i pi}), and their sign differs between platforms
         z = complex(*(0.0 if abs(x) < 1e-15 else x for x in (z.real, z.imag)))
         if abs(abs(s.value(z)) - 1.0) < 1e-8:
-            polished.append((theta % (2.0 * np.pi), z))
-    polished.sort(key=lambda t: t[0])
-    clusters: list[list] = []
-    for theta, z in polished:
-        if clusters and abs(np.exp(1j * theta) - clusters[-1][0][1]) <= MATCH_TOL:
-            clusters[-1].append((theta, z))
-        else:
-            clusters.append([(theta, z)])
-    # wrap-around cluster merge at theta ~ 0 / 2 pi
-    if len(clusters) > 1 and abs(clusters[0][0][1] - clusters[-1][0][1]) <= MATCH_TOL:
-        clusters[0].extend(clusters.pop())
-    return [ContactPoint(c[0][1], len(c)) for c in clusters]
+            contacts.append(ContactPoint(z, len(run) + 1))
+    contacts.sort(key=lambda cp: np.angle(cp.zeta) % (2.0 * np.pi))
+    return contacts
 
 
 def _data_at(s: RationalSymbol, z: complex) -> SecondOrderData:
@@ -437,7 +436,7 @@ def _rational_denjoy_wolff(s: RationalSymbol, points) -> DenjoyWolffRecord:
     f = _trim(_sub(n, np.concatenate(([d[0] * 0], d))))
     if f.size <= 1:
         raise RootFindingError("fixed-point polynomial is degenerate")
-    roots = P.polyroots(f)
+    roots = _roots(f)
     band = 1e-6     # root-finding slack about the circle
     cands = roots[np.abs(roots) <= 1.0 + band]
     interior = [complex(r) for r in cands if abs(r) < 1.0 - _INTERIOR_MARGIN]

@@ -34,6 +34,18 @@ def round12(obj):
     return obj
 
 
+def _write_rational(path, num, den, theta=0.0):
+    """Write e^{i theta} phi(e^{-i theta} z) for phi = num/den as a
+    symbol document; its contacts turn with theta."""
+    w = cmath.exp(1j * theta)
+    coeffs = {"num": [w * c / w ** k for k, c in enumerate(num)],
+              "den": [c / w ** k for k, c in enumerate(den)]}
+    path.write_text(json.dumps({"kind": "rational", **{
+        key: [[complex(c).real, complex(c).imag] for c in cs]
+        for key, cs in coeffs.items()}}))
+    return path
+
+
 @pytest.mark.parametrize("name", EXAMPLES)
 def test_golden_reports(name, tmp_path):
     out = tmp_path / "report.json"
@@ -64,7 +76,8 @@ def test_analyze_reduces_the_symbol_once(name, polyroots, contact_points,
     ("square_root", 0)])
 def test_scalar_evaluation_makes_no_polyval_call(name, polyval, monkeypatch,
                                                  capsys):
-    # N and D on the self-map grid; every scalar evaluation is Horner's
+    # N and D at the circle critical points of |N|^2 - |D|^2, for the
+    # self-map test; every scalar evaluation is Horner's
     calls = count_calls(monkeypatch, (npoly, "polyval"))
     assert run(["analyze", GOLDEN / f"{name}.symbol.json"]) == 0
     capsys.readouterr()
@@ -179,7 +192,7 @@ def test_reports_do_not_depend_on_coefficient_scale(name, tmp_path):
     # doubles, so every answer must be the same for k from -60 to 60, and
     # out at +-540, where N'D - ND' would under- or overflow unscaled
     doc = json.loads((GOLDEN / f"{name}.symbol.json").read_text())
-    reports = set()
+    reports, truncations = set(), set()
     for k in [*range(-60, 61, 4), -540, 540]:
         scaled = {**doc, **{key: [[x * 2.0 ** k for x in c] for c in doc[key]]
                             for key in ("num", "den")}}
@@ -189,7 +202,44 @@ def test_reports_do_not_depend_on_coefficient_scale(name, tmp_path):
         report = json.loads(out.read_text())
         del report["input"]
         reports.add(json.dumps(report, sort_keys=True))
+        assert run(["truncate", path, "--order", "32", "--out", out]) == 0, k
+        truncations.add(out.read_text())
     assert len(reports) == 1
+    assert len(truncations) == 1 and "no_prediction" not in truncations.pop()
+
+
+@pytest.mark.parametrize("num,den", [
+    # a subnormal top coefficient of D or N sends the companion matrix
+    # to infinity
+    ([[0, 0], [0, 0]], [[1, 0], [0, 0], [0, 2.2250738585e-313]]),
+    ([[0, 0], [0.5, 0], [0, 2.2250738585e-313]], [[1, 0]]),
+])
+def test_failed_root_finding_is_a_typed_error(num, den, tmp_path, capsys):
+    doc = tmp_path / "subnormal.json"
+    doc.write_text(json.dumps({"kind": "rational", "num": num, "den": den}))
+    out = tmp_path / "report.json"
+    assert run(["analyze", doc, "--out", out]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert "root finding failed" in json.loads(err[-1])["error"]
+    assert run(["truncate", doc, "--order", "8", "--out", out]) == 0
+    res = json.loads(out.read_text())
+    assert "root finding failed" in res["diagnostics"]["no_prediction"]
+
+
+@pytest.mark.parametrize("theta", [0.0, 2.5, -1.0])
+def test_order_four_contact_exit_2(theta, tmp_path):
+    # -3/8 - 3/4 z + 1/8 z^2 meets the circle at 1 (turned by theta) to
+    # fourth order: |N|^2 - |D|^2 has a 4-fold root there
+    doc = _write_rational(tmp_path / "order4.json",
+                          (-3 / 8, -3 / 4, 1 / 8), (1,), theta)
+    out = tmp_path / "report.json"
+    assert run(["analyze", doc, "--out", out]) == 2
+    check, = json.loads(out.read_text())["certification"]["checks"]
+    assert check["multiplicity"] == 4 and not check["ok"]
+    assert check["note"] == "contact order exceeds 2"
+    # a triple critical point is located to about roundoff^(1/3)
+    assert abs(complex(*check["zeta"]) - cmath.exp(1j * theta)) < 1e-4
 
 
 def test_usage_error_exit_64(capsys):
@@ -211,6 +261,16 @@ def test_non_self_map_is_a_hard_error(tmp_path, capsys):
     assert run(["analyze", doc]) == 1
     assert run(["analyze", doc, "--tol", "0.02"]) == 64
     capsys.readouterr()
+    # a/2 (1 + e^{i pi/k} z^k) exceeds 1 only in k narrow peaks, which a
+    # sampled check can step over
+    for k in (32, 48, 64):
+        for a in (1.0001, 1.0002, 1.0003):
+            num = [0j] * (k + 1)
+            num[0], num[k] = a / 2, a / 2 * cmath.exp(1j * math.pi / k)
+            doc = _write_rational(tmp_path / "bump.json", num, [1.0])
+            assert run(["analyze", doc]) == 1, (k, a)
+            err = capsys.readouterr().err.strip().splitlines()
+            assert "sup |phi|" in json.loads(err[-1])["error"]
 
 
 def test_parser_is_built_once(monkeypatch, capsys):
@@ -312,16 +372,19 @@ def test_boundary_subcommand(tmp_path):
 
 
 def test_truncate_monomial(tmp_path):
-    doc = tmp_path / "half.json"
-    doc.write_text('{"kind": "rational", "num": [[0,0],[0.5,0]],'
-                   ' "den": [[1,0]]}')
-    out = tmp_path / "trunc.json"
-    assert run(["truncate", doc, "--order", "8", "--out", out]) == 0
-    res = json.loads(out.read_text())
-    mods = sorted((abs(complex(*v)) for v in res["eigenvalues"]),
-                  reverse=True)
-    assert mods == pytest.approx([0.5 ** k for k in range(8)], abs=1e-10)
-    assert res["distances"] == pytest.approx([0.0] * 8, abs=1e-10)
+    # z/2, also with coefficients near 1e-15, whose denominator is small
+    # only in absolute terms
+    for scale in (1.0, 2e-15):
+        doc = _write_rational(tmp_path / "half.json", (0, scale / 2),
+                              (scale,))
+        out = tmp_path / "trunc.json"
+        assert run(["truncate", doc, "--order", "8", "--out", out]) == 0
+        res = json.loads(out.read_text())
+        mods = sorted((abs(complex(*v)) for v in res["eigenvalues"]),
+                      reverse=True)
+        assert mods == pytest.approx([0.5 ** k for k in range(8)],
+                                     abs=1e-10)
+        assert res["distances"] == pytest.approx([0.0] * 8, abs=1e-10)
 
 
 def test_truncate_constant(tmp_path):

@@ -12,7 +12,8 @@ symbol documents is built once, from this checkout's
   times 2^k for k in {-540, -40, -20, 20, 40, 540} (the same map);
 * ``gen.SWEEP`` and ``gen.PROJECTION_SLICE`` at seeds 1-5;
 * the parabolic maps ((2-t)z + t) / (-tz + 2 + t) for t in
-  logspace(-3, 1, 40), each conjugated by three rotations;
+  logspace(-3, 1, 40) and in {3e-4, 1e-4, 3e-5, 1e-5, 1e-6}, each
+  conjugated by three rotations;
 * the linear-fractional maps with fixed points 1 - d (multiplier
   1 - e) and 1, for d in logspace(-7, -1, 13) and e in
   {0.5, 1e-2, 1e-4, 1e-9, 1e-11, -1e-9}, each conjugated by two
@@ -21,7 +22,7 @@ symbol documents is built once, from this checkout's
 * ``gen.hyperbolic`` at degrees 1-4 with phi'(1) in
   {0.5, 0.9, 0.99, 0.999, 0.9999};
 * three rotations of the lollipop golden;
-* the order-4 map (-3/8, -3/4, 1/8);
+* the order-4 map (-3/8, -3/4, 1/8), conjugated by three rotations;
 * bumps of degree 4-64 (``gen.bump``, three heights each).
 
 For each tree a worker process imports ``compspec`` from the tree's
@@ -59,6 +60,7 @@ ROOT = Path(__file__).resolve().parent.parent
 COMMANDS = ("analyze", "classify", "boundary", "spectrum")
 SEEDS = range(1, 6)
 ROTATIONS = (0.0, 2.5, -1.0)
+SMALL_T = (3e-4, 1e-4, 3e-5, 1e-5, 1e-6)
 LOLLIPOP = ((-2, -1, 2), (-3, 0, 2))
 LEMMA_SEEDS = range(4)
 GOLDEN_SCALES = (-540, -40, -20, 20, 40, 540)
@@ -106,6 +108,10 @@ def battery() -> dict[str, dict]:
         for j, theta in enumerate(ROTATIONS):
             docs[f"parabolic-{i:02d}-r{j}"] = _rotated(
                 (t, 2.0 - t), (2.0 + t, -t), theta)
+    for t in SMALL_T:
+        for j, theta in enumerate(ROTATIONS):
+            docs[f"parabolic-{t:g}-r{j}"] = _rotated(
+                (t, 2.0 - t), (2.0 + t, -t), theta)
     for i in range(13):
         d = 10.0 ** (-7.0 + i / 2)
         for j, e in enumerate((0.5, 1e-2, 1e-4, 1e-9, 1e-11, -1e-9)):
@@ -118,7 +124,8 @@ def battery() -> dict[str, dict]:
                 k, k / p, 1.4 + 0.1j)[0]
     for j, theta in enumerate((0.7, 2.5, -1.9)):
         docs[f"lollipop-r{j}"] = _rotated(*LOLLIPOP, theta)
-    docs["order4"] = _rational((-3 / 8, -3 / 4, 1 / 8), (1,))
+    for j, theta in enumerate(ROTATIONS):
+        docs[f"order4-r{j}"] = _rotated((-3 / 8, -3 / 4, 1 / 8), (1,), theta)
     for k in (4, 8, 16, 32, 48, 64):
         for a in (1e-4, 2e-4, 3e-4):
             docs[f"bump{k}-{a}"] = gen.bump(k, 1.0 + a)[0]
