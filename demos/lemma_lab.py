@@ -7,6 +7,13 @@ sum is the set of lambda with lambda^n in the spectrum of the cyclic
 product.  Here we build structured random matrix families realizing the
 patterns exactly and compare both sides with a dense eigensolver.
 
+Each family is block-supported and then conjugated by one similarity.
+`run_checker` solves only the sums densely from the conjugated
+matrices; the summands and products it solves on the unconjugated
+blocks, whose spectra are the same, since a similarity preserves
+spectra, and whose zero rows and columns LAPACK's balancing permutes
+out.  This demo solves the conjugated matrices throughout.
+
 Run:  python demos/lemma_lab.py
 """
 

@@ -6,12 +6,20 @@ construction, then one well-conditioned similarity applied to the whole
 family, which preserves all products and spectra).  A dense eigenvalue
 oracle then verifies the spectral statements.
 
+Only the sums get a dense solve of their conjugated matrices, since
+that is where each lemma has content.  The summands and their products
+are solved on the unconjugated block-supported family: the similarity
+leaves their spectra unchanged, and their zero rows and columns outside
+the support are permuted out by LAPACK's balancing, so the QR iteration
+runs on one block only.  Every tolerance is still scaled by the norms
+of the conjugated matrices.
+
 Seeded trials are built and checked in stacks of at most STACK_TRIALS
-families, held as one (trials, n, order, order) array, so that each
-inverse, product, norm and eigen-solve is one LAPACK or BLAS call per
-stack rather than per matrix.  Every trial draws from its own seeded
-stream, so a family has the same bits alone as in a stack, and
-`make_family` rebuilds any one trial from its seed.
+families, held as (trials, n, order, order) arrays of conjugated and
+block matrices, so that each inverse, product, norm and eigen-solve is
+one LAPACK or BLAS call per stack rather than per matrix.  Every trial
+draws from its own seeded stream, so a family has the same bits alone
+as in a stack, and `make_family` rebuilds any one trial from its seed.
 
 All statements are about spectra as *sets*: comparisons are tolerance
 set matching, ignoring multiplicity, with the tolerance scaled by the
@@ -36,7 +44,8 @@ MAX_ORDER = 128
 SET_MATCH_TOL = 1e-7
 # families per stack: larger stacks save little call overhead but hold
 # more memory (one cta stack at n = 5, order 24 is 0.37 MB per array);
-# stacks of large families are cut to STACK_BYTES, down to one family
+# stacks of large families are cut so that the conjugated and the block
+# matrices together fit in STACK_BYTES, down to one family
 STACK_TRIALS = 8
 STACK_BYTES = 4 * 2 ** 20
 SIMILARITY_DRAWS = 50
@@ -127,12 +136,12 @@ def _redraw_similarity(order: int, rng) -> np.ndarray:
     raise RootFindingError("could not draw a well-conditioned similarity")
 
 
-def _make_stack(pattern: Pattern | str, n: int, order: int,
-                seeds) -> np.ndarray:
+def _make_stack(pattern: Pattern | str, n: int, order: int, seeds):
     """One seeded family per seed, each realizing the pattern exactly
-    and conjugated by its own well-conditioned similarity: mats[t, j],
-    of shape (trials, n, order, order), is a_j of the family seeded by
-    seeds[t].
+    and conjugated by its own well-conditioned similarity, as (mats,
+    blocks) of shape (trials, n, order, order): mats[t, j] is a_j of
+    the family seeded by seeds[t], and blocks[t, j] the block-supported
+    matrix it is conjugated from.
 
     The family seeded by s draws from default_rng(s): the real, then
     the imaginary part of each matrix's block, then similarity
@@ -150,8 +159,8 @@ def _make_stack(pattern: Pattern | str, n: int, order: int,
             f"order {order} too small for {nblocks} blocks")
     if order > MAX_ORDER:
         raise InvalidDataError(f"order exceeds cap {MAX_ORDER}")
-    blocks = np.array_split(np.arange(order), nblocks)
-    spans = [(np.concatenate([blocks[t] for t in targets]), blocks[src])
+    index = np.array_split(np.arange(order), nblocks)
+    spans = [(np.concatenate([index[t] for t in targets]), index[src])
              for src, targets in supports]
     # each trial's draws: every block, then its first similarity
     # candidate, as (2, rows, cols) real and imaginary parts
@@ -162,15 +171,15 @@ def _make_stack(pattern: Pattern | str, n: int, order: int,
     draws = np.array([rng.normal(size=sum(sizes)) for rng in rngs])
     pairs = [part.reshape(len(seeds), *shape) for part, shape in
              zip(np.split(draws, np.cumsum(sizes)[:-1], axis=1), shapes)]
-    mats = np.zeros((len(seeds), n, order, order), dtype=complex)
+    blocks = np.zeros((len(seeds), n, order, order), dtype=complex)
     for j, (rows, cols) in enumerate(spans):
-        mats[:, j, rows[:, None], cols] = _complex(pairs[j])
+        blocks[:, j, rows[:, None], cols] = _complex(pairs[j])
     s = _similarity_candidate(pairs[-1])
     for t in np.flatnonzero(~(np.linalg.cond(s) < 100.0)):
         s[t] = _redraw_similarity(order, rngs[t])
-    mats = s[:, None] @ mats @ np.linalg.inv(s)[:, None]
+    mats = s[:, None] @ blocks @ np.linalg.inv(s)[:, None]
     _verify_products(mats, pattern, seeds)
-    return mats
+    return mats, blocks
 
 
 def make_family(pattern: Pattern | str, n: int, order: int,
@@ -178,7 +187,7 @@ def make_family(pattern: Pattern | str, n: int, order: int,
     """Seeded structured family realizing the pattern exactly, then
     conjugated by one random well-conditioned similarity, as an
     (n, order, order) array whose j-th matrix is a_j."""
-    return _make_stack(pattern, n, order, [seed])[0]
+    return _make_stack(pattern, n, order, [seed])[0][0]
 
 
 def _verify_products(mats: np.ndarray, pattern: Pattern, seeds):
@@ -235,69 +244,75 @@ def _match(a: np.ndarray, b: np.ndarray, tol: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# the lemma checkers: each maps a (trials, n, order, order) stack of
-# families to one verdict per trial
+# the lemma checkers: each maps a stack of families, as the (mats,
+# blocks) of _make_stack, to one verdict per trial.  Sums are solved
+# from the conjugated matrices, summands and products from the blocks;
+# tolerances are scaled by the conjugated matrices
 # ----------------------------------------------------------------------
 
-def _sum_and_parts(mats: np.ndarray):
+def _sum_and_parts(mats: np.ndarray, blocks: np.ndarray):
     """Eigenvalues of sum_j a_j, (trials, order), and of all the a_j,
     (trials, n * order), from one eigen-solve."""
     vals = eigenvalues(
-        np.concatenate([mats.sum(axis=1, keepdims=True), mats], axis=1))
+        np.concatenate([mats.sum(axis=1, keepdims=True), blocks], axis=1))
     return vals[:, 0], vals[:, 1:].reshape(len(mats), -1)
 
 
-def _union_flc(mats: np.ndarray) -> np.ndarray:
+def _union_flc(mats: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """sigma(sum a_j) inside the union of the sigma(a_j)."""
-    total, union = _sum_and_parts(mats)
+    total, union = _sum_and_parts(mats, blocks)
     return _covered(total, union, _scaled_tol(mats))
 
 
-def _equality_cta(mats: np.ndarray) -> np.ndarray:
+def _equality_cta(mats: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """Nonzero spectrum of the sum equals the nonzero union."""
     tol = _scaled_tol(mats)
-    total, union = _sum_and_parts(mats)
+    total, union = _sum_and_parts(mats, blocks)
     return _match(_nonzero(total, tol), _nonzero(union, tol), tol)
 
 
-def _lip(mats: np.ndarray) -> np.ndarray:
+def _lip(mats: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """a_1 a_2 = 0 and a_2^2 = 0: the nilpotent lead-in summand drops
     out of the nonzero spectrum."""
-    a1, a2 = mats[:, 0], mats[:, 1]
     tol = _scaled_tol(mats)
-    vals = _nonzero(eigenvalues(np.stack([a1 + a2, a1], axis=1)), tol)
+    vals = _nonzero(eigenvalues(
+        np.stack([mats[:, 0] + mats[:, 1], blocks[:, 0]], axis=1)), tol)
     return _match(vals[:, 0], vals[:, 1], tol)
 
 
-def _n2c(mats: np.ndarray) -> np.ndarray:
+def _n2c(mats: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """For a square-zero pair, nonzero lambda in sigma(a_1 + a_2) iff
     lambda^2 in sigma(a_1 a_2) iff lambda^2 in sigma(a_2 a_1); the last
     equivalence also witnesses Jacobson's lemma."""
     a1, a2 = mats[:, 0], mats[:, 1]
+    b1, b2 = blocks[:, 0], blocks[:, 1]
     tol = _scaled_tol(mats)
-    p12, p21 = a1 @ a2, a2 @ a1
-    vals = _nonzero(eigenvalues(np.stack([a1 + a2, p12, p21], axis=1)),
-                    tol)
+    vals = _nonzero(
+        eigenvalues(np.stack([a1 + a2, b1 @ b2, b2 @ b1], axis=1)), tol)
     sq, s12, s21 = vals[:, 0] ** 2, vals[:, 1], vals[:, 2]
-    tol2 = _scaled_tol(p12[:, None])
+    tol2 = _scaled_tol((a1 @ a2)[:, None])
     return (_match(sq, s12, tol2) & _match(sq, s21, tol2)
             & _match(s12, s21, tol2))
 
 
-def _rsm(mats: np.ndarray) -> np.ndarray:
+def _cyclic_product(mats: np.ndarray, k: int) -> np.ndarray:
+    """a_k a_{k+1} ... a_{k+n-1} of every trial, indices mod n."""
+    n = mats.shape[1]
+    prod = mats[:, k]
+    for j in range(k + 1, k + n):
+        prod = prod @ mats[:, j % n]
+    return prod
+
+
+def _rsm(mats: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """Cyclic pattern: nonzero sigma(sum a_j) = {lambda: lambda^n in
     sigma(prod a_j)}, with rotation invariance and the cyclic-shift
     (Jacobson) variants of the product."""
     n = mats.shape[1]
     tol = _scaled_tol(mats)
-    shifted = []            # a_k a_{k+1} ... a_{k+n-1}, indices mod n
-    for k in range(n):
-        prod = mats[:, k]
-        for j in range(k + 1, k + n):
-            prod = prod @ mats[:, j % n]
-        shifted.append(prod)
+    tolp = _scaled_tol(_cyclic_product(mats, 0)[:, None])
+    shifted = [_cyclic_product(blocks, k) for k in range(n)]
     vals = eigenvalues(np.stack([mats.sum(axis=1), *shifted], axis=1))
-    tolp = _scaled_tol(shifted[0][:, None])
     spec = _nonzero(vals[:, 1:], tolp)      # spec[:, k]: shift k
     # Genuine nonzero eigenvalues lambda of the sum satisfy lambda^n in
     # the nonzero spectrum of the product, so |lambda| is bounded below
@@ -342,8 +357,9 @@ def family_size(lemma: str, n: int) -> int:
 
 def _stack_trials(n: int, order: int) -> int:
     """Families per stack: STACK_TRIALS, or as many as fit in
-    STACK_BYTES of complex matrices, but at least one."""
-    family_bytes = max(1, 16 * n * order ** 2)   # shapes are checked later
+    STACK_BYTES of complex matrices, conjugated and block ones, but at
+    least one."""
+    family_bytes = max(1, 2 * 16 * n * order ** 2)  # shapes checked later
     return max(1, min(STACK_TRIALS, STACK_BYTES // family_bytes))
 
 
@@ -364,7 +380,7 @@ def run_checker(lemma: str, n: int, order: int, trials: int,
     for start in range(0, trials, size):
         seeds = [_trial_seed(master_seed, t)
                  for t in range(start, min(start + size, trials))]
-        verdicts = checker(_make_stack(pattern, n, order, seeds))
+        verdicts = checker(*_make_stack(pattern, n, order, seeds))
         failing += [seed for seed, ok in zip(seeds, verdicts) if not ok]
     return (not failing), failing
 

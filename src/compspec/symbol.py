@@ -19,7 +19,10 @@ T(theta) = e^{-i deg theta} G(e^{i theta}).  phi is a self-map when
 |phi| <= 1 + EPS there and at z = 1.  T is monotone between critical
 points, so a contact is a maximal cyclic run of them where |phi| = 1 to
 1e-8, of multiplicity run length + 1 (an order-2 contact is a simple
-root of H), Newton-polished on d/dtheta |phi|^2 from the run's middle.
+root of H).  A longer run within 1e-3 of its middle is one multiple
+root of H, split by roundoff; its mean angle is the root to about
+roundoff, as the cluster's odd terms cancel.  Any other run is
+Newton-polished on d/dtheta |phi|^2 from its middle.
 
 Scalar evaluation of phi, phi' and phi'' runs Horner's rule over Python
 complex coefficients: a numpy call per point costs more than its arithmetic.
@@ -56,6 +59,10 @@ DEGREE_CAP = 64
 # roots of the fixed-point polynomial can be off by ~sqrt(machine eps) in
 # the parabolic (double-root) case, so the margin must dominate that
 _INTERIOR_MARGIN = 1e-4
+# how far roundoff may move a multiple root of H: a root this close to
+# the circle is a critical point of T, and a run of critical points this
+# close to its middle is one multiple root, split
+_SPLIT_ROOT = 1e-3
 
 
 def _trim(coeffs) -> np.ndarray:
@@ -164,7 +171,7 @@ class RationalSymbol:
         deg = max(n.size, d.size) - 1
         g = _reflection(n, d, deg)
         roots = _roots(g * (np.arange(g.size) - deg))   # H = z G' - deg G
-        near = roots[np.abs(np.abs(roots) - 1.0) < 1e-3]
+        near = roots[np.abs(np.abs(roots) - 1.0) < _SPLIT_ROOT]
         crit = np.exp(1j * np.sort(np.angle(near) % (2.0 * np.pi)))
         z = np.append(crit, 1.0)
         vals = np.abs(P.polyval(z, n) / P.polyval(z, d))
@@ -388,6 +395,16 @@ def _polish_contact(s: RationalSymbol, theta0: float) -> float:
     return theta
 
 
+def _split_root(run: np.ndarray, mid: complex) -> float | None:
+    """The angle of one multiple root of H that roundoff split into the
+    run of critical points, as their mean angle, or None when the run
+    spreads beyond _SPLIT_ROOT of its middle point mid."""
+    rel = np.angle(run * np.conj(mid))      # safe across +-pi
+    if np.all(np.abs(rel) < _SPLIT_ROOT):
+        return float(np.angle(mid)) + float(np.mean(rel))
+    return None
+
+
 def contact_points(s: RationalSymbol) -> list[ContactPoint]:
     """Contact points of a rational symbol by angle in [0, 2 pi), with
     their multiplicities: the contact-locating step of :func:`analyze`."""
@@ -396,7 +413,10 @@ def contact_points(s: RationalSymbol) -> list[ContactPoint]:
     cycle = np.roll(np.arange(on.size), -off[0] if off.size else 0)
     contacts, runs = [], itertools.groupby(cycle, on.__getitem__)
     for run in (list(g) for k, g in runs if k):
-        theta = _polish_contact(s, float(np.angle(crit[run[len(run) // 2]])))
+        mid = crit[run[len(run) // 2]]
+        theta = _split_root(crit[run], mid) if len(run) > 1 else None
+        if theta is None:
+            theta = _polish_contact(s, float(np.angle(mid)))
         z = complex(np.exp(1j * theta))
         # components below 1e-15 are roundoff of an exact zero (as in
         # Im e^{i pi}), and their sign differs between platforms

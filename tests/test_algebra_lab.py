@@ -8,10 +8,11 @@ import compspec.algebra_lab as al
 from compspec import RationalSymbol
 from compspec.algebra_lab import (Pattern, eigenvalues, make_family,
                                   run_checker, truncation_from_coeffs,
-                                  STACK_TRIALS, _equality_cta, _lip,
-                                  _make_stack, _match, _n2c,
-                                  _required_zero_pairs, _rsm, _supports,
-                                  _trial_seed, _union_flc, _verify_products)
+                                  STACK_TRIALS, _cyclic_product,
+                                  _equality_cta, _lip, _make_stack, _match,
+                                  _n2c, _required_zero_pairs, _rsm,
+                                  _scaled_tol, _supports, _trial_seed,
+                                  _union_flc, _verify_products)
 from compspec.errors import InvalidDataError, RootFindingError
 
 RNG = np.random.default_rng(99)
@@ -116,7 +117,8 @@ def test_order_cap_is_checked_before_building():
 # -- stacked trials ----------------------------------------------------
 
 def _loop_family(pattern, n, order, seed):
-    """Reference: the per-matrix construction, one family at a time."""
+    """Reference: the per-matrix construction, one family at a time, as
+    the conjugated family and its blocks."""
     rng = np.random.default_rng(seed)
     supports, nblocks = _supports(pattern, n)
     blocks = np.array_split(np.arange(order), nblocks)
@@ -135,7 +137,7 @@ def _loop_family(pattern, n, order, seed):
         if np.linalg.cond(s) < 100.0:
             break
     s_inv = np.linalg.inv(s)
-    return np.stack([s @ m @ s_inv for m in mats])
+    return np.stack([s @ m @ s_inv for m in mats]), np.stack(mats)
 
 
 SHAPES = [(Pattern.ONE_WAY, 4, 24), (Pattern.TWO_SIDED, 5, 24),
@@ -147,12 +149,14 @@ SHAPES = [(Pattern.ONE_WAY, 4, 24), (Pattern.TWO_SIDED, 5, 24),
 @pytest.mark.parametrize("pattern,n,order", SHAPES)
 def test_stacked_families_are_the_single_families(pattern, n, order, trials):
     seeds = [_trial_seed(0, t) for t in range(trials)]
-    stack = _make_stack(pattern, n, order, seeds)
-    assert stack.shape == (trials, n, order, order)
+    stack, blocks = _make_stack(pattern, n, order, seeds)
+    assert stack.shape == blocks.shape == (trials, n, order, order)
     for t, seed in enumerate(seeds):
         alone = make_family(pattern, n, order, seed)
         assert np.array_equal(stack[t], alone)
-        assert np.array_equal(alone, _loop_family(pattern, n, order, seed))
+        ref, ref_blocks = _loop_family(pattern, n, order, seed)
+        assert np.array_equal(alone, ref)
+        assert np.array_equal(blocks[t], ref_blocks)
 
 
 def test_redrawn_similarity_keeps_the_stream(monkeypatch):
@@ -166,11 +170,12 @@ def test_redrawn_similarity_keeps_the_stream(monkeypatch):
 
     monkeypatch.setattr(al, "_redraw_similarity", counted)
     seeds = list(range(24, 40))
-    stack = _make_stack(Pattern.TWO_SIDED, 5, 24, seeds)
+    stack, blocks = _make_stack(Pattern.TWO_SIDED, 5, 24, seeds)
     assert redraws == [24, 24]
     for t, seed in enumerate(seeds):
-        assert np.array_equal(stack[t],
-                              _loop_family(Pattern.TWO_SIDED, 5, 24, seed))
+        ref, ref_blocks = _loop_family(Pattern.TWO_SIDED, 5, 24, seed)
+        assert np.array_equal(stack[t], ref)
+        assert np.array_equal(blocks[t], ref_blocks)
 
 
 @pytest.mark.parametrize("lemma,check,pattern,n,order", [
@@ -189,16 +194,17 @@ def test_run_checker_fails_the_seeds_that_fail_alone(lemma, check, pattern,
     ok, failing = run_checker(lemma, n, order, trials, master_seed=3)
     seeds = [_trial_seed(3, t) for t in range(trials)]
     alone = [s for s in seeds
-             if not check(_make_stack(pattern, n, order, [s]))[0]]
+             if not check(*_make_stack(pattern, n, order, [s]))[0]]
     assert failing == alone
     assert 0 < len(failing) < trials and not ok
 
 
 def test_large_families_are_stacked_one_at_a_time(monkeypatch):
-    # one family of 16 matrices of order 128 is 4.2 MB
+    # one family of 16 matrices of order 128 is 4.2 MB, and as much
+    # again for its blocks
     sizes = []
 
-    def record(mats):
+    def record(mats, blocks):
         sizes.append(len(mats))
         return [True] * len(mats)
 
@@ -206,6 +212,8 @@ def test_large_families_are_stacked_one_at_a_time(monkeypatch):
     assert run_checker("flc", 16, 128, 3, master_seed=0) == (True, [])
     assert sizes == [1, 1, 1]
     assert al._stack_trials(5, 24) == STACK_TRIALS
+    # 16 matrices of order 64 and their blocks: 2 MB a family
+    assert al._stack_trials(16, 64) == 2
 
 
 def test_stacked_run_stays_small():
@@ -216,6 +224,67 @@ def test_stacked_run_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20
+
+
+# -- the eigen-solves ----------------------------------------------------
+
+@pytest.mark.parametrize("pattern,n,order", SHAPES)
+def test_block_spectra_are_the_conjugated_spectra(pattern, n, order):
+    # the checkers solve summands and products on the blocks; the dense
+    # solve of every conjugated one is the oracle they must agree with
+    mats, blocks = _make_stack(pattern, n, order,
+                               [_trial_seed(4, t) for t in range(3)])
+    pairs = [(mats, blocks)]
+    if pattern is Pattern.NILPOTENT_PAIR:     # a_1 a_2 and a_2 a_1
+        pairs.append(tuple(m[:, [0, 1]] @ m[:, [1, 0]]
+                           for m in (mats, blocks)))
+    if pattern is Pattern.CYCLIC:             # every cyclic product
+        pairs.append(tuple(
+            np.stack([_cyclic_product(m, k) for k in range(n)], axis=1)
+            for m in (mats, blocks)))
+    for dense, block in pairs:
+        tol = _scaled_tol(dense)
+        dense_vals, block_vals = eigenvalues(dense), eigenvalues(block)
+        for j in range(dense.shape[1]):
+            assert _match(dense_vals[:, j], block_vals[:, j], tol).all()
+
+
+# the benchmark's lemma suites (perfbench/run.py LEMMA_SUITES)
+LEMMA_SUITES = [("fl", 2, 16), ("ta", 2, 16), ("cta", 5, 24),
+                ("lip", 2, 16), ("n2c", 2, 16), ("rsm", 5, 24),
+                ("flc", 4, 24)]
+
+
+def test_lemma_suites_solve_one_dense_sum_per_trial(monkeypatch):
+    stacks, solves = [], []
+    make_stack, eigvals = al._make_stack, np.linalg.eigvals
+
+    def recorded_stack(pattern, n, order, seeds):
+        stacks.append((pattern, n, make_stack(pattern, n, order, seeds)))
+        return stacks[-1][2]
+
+    def recorded_eigvals(m):
+        solves.append(m)
+        return eigvals(m)
+
+    monkeypatch.setattr(al, "_make_stack", recorded_stack)
+    monkeypatch.setattr(np.linalg, "eigvals", recorded_eigvals)
+    for lemma, n, order in LEMMA_SUITES:
+        for seed in range(4):
+            assert run_checker(lemma, n, order, 50, seed) == (True, [])
+    # one solve per stack of 8 trials, 7 stacks per 50 trials
+    assert len(solves) == len(stacks) == 196
+    for (pattern, n, (mats, _)), m in zip(stacks, solves):
+        assert np.array_equal(m[:, 0], mats.sum(axis=1))
+        # every other entry is zero off rows R and columns C that share
+        # at most one block: balancing permutes out the rest, so QR
+        # runs on that block only
+        order = m.shape[-1]
+        largest = -(-order // _supports(pattern, n)[1])
+        for entry in m[:, 1:].reshape(-1, order, order):
+            rows = np.flatnonzero(entry.any(axis=1))
+            cols = np.flatnonzero(entry.any(axis=0))
+            assert np.intersect1d(rows, cols).size <= largest
 
 
 # -- set matching ------------------------------------------------------
@@ -253,14 +322,14 @@ def test_spectra_match_basics():
     pytest.param(_rsm, Pattern.CYCLIC, 5, id="check_RSM-cyclic-5"),
 ])
 def test_checkers_pass(checker, pattern, n):
-    assert list(checker(_make_stack(pattern, n, 18, [1, 2, 3]))) == [True] * 3
+    assert list(checker(*_make_stack(pattern, n, 18, [1, 2, 3]))) == [True] * 3
 
 
 def test_rsm_order_not_divisible_by_n():
     # block sizes differ, so the sum has defective zero eigenvalues;
     # the checker must still separate them from the genuine spectrum
     for order in (11, 17, 23):
-        assert _rsm(_make_stack(Pattern.CYCLIC, 5, order, [3]))[0]
+        assert _rsm(*_make_stack(Pattern.CYCLIC, 5, order, [3]))[0]
 
 
 def _long_chain_cyclic_family():
@@ -269,7 +338,8 @@ def _long_chain_cyclic_family():
     scaled to the single nonzero eigenvalue mu with |mu| = 1, so the
     sum has 8 genuine eigenvalues of modulus 1; its 21 zero eigenvalues
     form three Jordan chains of length 7, which roundoff spreads to
-    about eps^(1/7) ~ 6e-3."""
+    about eps^(1/7) ~ 6e-3.  Returns the conjugated family and its
+    blocks."""
     rng = np.random.default_rng(1)
     sizes = [1] + [4] * 7
     starts = np.cumsum([0] + sizes)
@@ -289,16 +359,16 @@ def _long_chain_cyclic_family():
     mu = np.trace(np.linalg.multi_dot(mats))
     mats[0] /= abs(mu)
     s = np.eye(order) + draw(order, order)
-    return np.stack([s @ a @ np.linalg.inv(s) for a in mats])
+    return np.stack([s @ a @ np.linalg.inv(s) for a in mats]), np.stack(mats)
 
 
 def test_rsm_cut_separates_long_jordan_chains():
-    fam = _long_chain_cyclic_family()
+    fam, blocks = _long_chain_cyclic_family()
     mods = np.sort(np.abs(eigenvalues(fam.sum(axis=0))))
     # the chains' spread lies between the cut's placement at 1/10 of
     # the genuine modulus and a cut 100 times lower
     assert 1e-3 < mods[-9] < 0.03 and abs(mods[-8] - 1.0) < 1e-6
-    assert _rsm(fam[None])[0]
+    assert _rsm(fam[None], blocks[None])[0]
 
 
 def test_run_checker():
@@ -315,7 +385,7 @@ def test_run_checker_reports_failing_seed(monkeypatch):
     calls = []      # every family the checker saw, in trial order
     bad = STACK_TRIALS + STACK_TRIALS // 2   # mid second stack
 
-    def flaky(mats):
+    def flaky(mats, blocks):
         first = len(calls)
         calls.extend(mats)
         return [first + t != bad for t in range(len(mats))]

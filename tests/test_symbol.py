@@ -83,6 +83,17 @@ def test_contact_points_on_circle(lollipop, eight_point):
             assert abs(abs(s.value(z)) - 1) < 1e-8
 
 
+def test_spread_run_of_critical_points_is_not_averaged():
+    # a real map within 1e-11 of the identity: |phi| = 1 to 4e-9 at
+    # both critical points of T, 1 and -1, so they form one run, but
+    # they are two roots of H, not one split multiple root, and their
+    # mean angle pi/2 is no critical point
+    s = _two_fixed_points(1e-2, 1e-11)
+    cp, = contact_points(s)
+    assert cp.multiplicity == 3
+    assert min(abs(cp.zeta - 1), abs(cp.zeta + 1)) < 1e-9
+
+
 def test_contacts_are_listed_by_angle(lollipop, two_cycle, eight_point):
     rotated = [_rotated((-2, -1, 2), (-3, 0, 2), t) for t in (0.7, 2.5, -1.9)]
     for s in (lollipop, two_cycle, eight_point, *rotated):
