@@ -6,13 +6,18 @@ construction, then one well-conditioned similarity applied to the whole
 family, which preserves all products and spectra).  A dense eigenvalue
 oracle then verifies the spectral statements.
 
+A similarity candidate S is accepted when cond_2(S) < 100.  Every
+candidate is inverted first, and ||S||_F ||S^-1||_F bounds cond_2(S)
+from above, so only the candidates that bound fails to prove get an
+SVD.
+
 Only the sums get a dense solve of their conjugated matrices, since
 that is where each lemma has content.  The summands and their products
-are solved on the unconjugated block-supported family: the similarity
-leaves their spectra unchanged, and their zero rows and columns outside
-the support are permuted out by LAPACK's balancing, so the QR iteration
-runs on one block only.  Every tolerance is still scaled by the norms
-of the conjugated matrices.
+are solved on the unconjugated block-supported family, whose spectra
+the similarity leaves unchanged, and only on their nonzero columns: a
+matrix that is zero off its columns C has the spectrum of its C x C
+part, plus 0 (see _block_spectra).  Every tolerance is still scaled by
+the norms of the conjugated matrices.
 
 Seeded trials are built and checked in stacks of at most STACK_TRIALS
 families, held as (trials, n, order, order) arrays of conjugated and
@@ -127,6 +132,18 @@ def _similarity_candidate(pair: np.ndarray) -> np.ndarray:
     return _complex(pair) / np.sqrt(2.0 * order) + np.eye(order)
 
 
+def _well_conditioned(s: np.ndarray, s_inv: np.ndarray) -> np.ndarray:
+    """cond_2(s) < 100 for each candidate of a stack, given the
+    inverses.  ||s||_F ||s^-1||_F bounds cond_2(s) from above, so a
+    candidate under the bound, less a margin for the roundoff of both
+    sides, is proven without an SVD; the rest get one."""
+    ok = _norms(s) * _norms(s_inv) < 100.0 * (1 - 1e-9)
+    unproven = np.flatnonzero(~ok)
+    if unproven.size:
+        ok[unproven] = np.linalg.cond(s[unproven]) < 100.0
+    return ok
+
+
 def _redraw_similarity(order: int, rng) -> np.ndarray:
     """The remaining candidates of a trial whose first one failed."""
     for _ in range(SIMILARITY_DRAWS - 1):
@@ -175,9 +192,13 @@ def _make_stack(pattern: Pattern | str, n: int, order: int, seeds):
     for j, (rows, cols) in enumerate(spans):
         blocks[:, j, rows[:, None], cols] = _complex(pairs[j])
     s = _similarity_candidate(pairs[-1])
-    for t in np.flatnonzero(~(np.linalg.cond(s) < 100.0)):
+    s_inv = np.linalg.inv(s)
+    redrawn = np.flatnonzero(~_well_conditioned(s, s_inv))
+    for t in redrawn:
         s[t] = _redraw_similarity(order, rngs[t])
-    mats = s[:, None] @ blocks @ np.linalg.inv(s)[:, None]
+    if redrawn.size:
+        s_inv[redrawn] = np.linalg.inv(s[redrawn])
+    mats = s[:, None] @ blocks @ s_inv[:, None]
     _verify_products(mats, pattern, seeds)
     return mats, blocks
 
@@ -246,16 +267,43 @@ def _match(a: np.ndarray, b: np.ndarray, tol: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 # the lemma checkers: each maps a stack of families, as the (mats,
 # blocks) of _make_stack, to one verdict per trial.  Sums are solved
-# from the conjugated matrices, summands and products from the blocks;
-# tolerances are scaled by the conjugated matrices
+# densely from the conjugated matrices, summands and products on their
+# nonzero columns from the blocks; tolerances are scaled by the
+# conjugated matrices
 # ----------------------------------------------------------------------
+
+def _block_spectra(blocks: np.ndarray, length: int = 1) -> np.ndarray:
+    """Eigenvalues, (trials, n, width), of the cyclic products b_k
+    b_{k+1} ... b_{k+length-1} of every trial's n blocks, indices mod n;
+    length 1 gives the blocks themselves.
+
+    A matrix M that is zero off its columns C has sigma(M) = sigma(M[C,
+    C]), with 0 added when C is not all columns; a product is zero off
+    the columns of its last factor.  C_j is taken as the columns where
+    b_j is nonzero in any trial.  Each product is formed thin on its
+    last factor's C, right to left, and solved on rows and columns C
+    plus zero columns up to the common width max|C| + 1, which keep the
+    exact 0 (the solved matrix is [[M[C, C], 0], [*, 0]])."""
+    n, order = blocks.shape[1:3]
+    nonzero = blocks.any(axis=(0, -2))                  # (n, order)
+    width = min(int(nonzero.sum(axis=-1).max()) + 1, order)
+    # per block: its nonzero columns first, ascending, then zero ones
+    cols = np.argsort(~nonzero, axis=-1, kind="stable")[:, :width]
+    j = np.arange(n)[:, None, None]
+    thin = blocks[:, j, np.arange(order)[:, None], cols[:, None, :]]
+    for _ in range(length - 1):
+        # entry k holds the product from b_k; prepend b_k to the one
+        # from b_{k+1}
+        thin = blocks @ np.roll(thin, -1, axis=1)
+    last = np.roll(cols, 1 - length, axis=0)
+    return eigenvalues(thin[:, j, last[:, :, None], np.arange(width)])
+
 
 def _sum_and_parts(mats: np.ndarray, blocks: np.ndarray):
     """Eigenvalues of sum_j a_j, (trials, order), and of all the a_j,
-    (trials, n * order), from one eigen-solve."""
-    vals = eigenvalues(
-        np.concatenate([mats.sum(axis=1, keepdims=True), blocks], axis=1))
-    return vals[:, 0], vals[:, 1:].reshape(len(mats), -1)
+    (trials, n * width)."""
+    return (eigenvalues(mats.sum(axis=1)),
+            _block_spectra(blocks).reshape(len(mats), -1))
 
 
 def _union_flc(mats: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -275,9 +323,9 @@ def _lip(mats: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """a_1 a_2 = 0 and a_2^2 = 0: the nilpotent lead-in summand drops
     out of the nonzero spectrum."""
     tol = _scaled_tol(mats)
-    vals = _nonzero(eigenvalues(
-        np.stack([mats[:, 0] + mats[:, 1], blocks[:, 0]], axis=1)), tol)
-    return _match(vals[:, 0], vals[:, 1], tol)
+    total = _nonzero(eigenvalues(mats[:, 0] + mats[:, 1]), tol)
+    return _match(total, _nonzero(_block_spectra(blocks[:, :1])[:, 0], tol),
+                  tol)
 
 
 def _n2c(mats: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -285,11 +333,10 @@ def _n2c(mats: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     lambda^2 in sigma(a_1 a_2) iff lambda^2 in sigma(a_2 a_1); the last
     equivalence also witnesses Jacobson's lemma."""
     a1, a2 = mats[:, 0], mats[:, 1]
-    b1, b2 = blocks[:, 0], blocks[:, 1]
     tol = _scaled_tol(mats)
-    vals = _nonzero(
-        eigenvalues(np.stack([a1 + a2, b1 @ b2, b2 @ b1], axis=1)), tol)
-    sq, s12, s21 = vals[:, 0] ** 2, vals[:, 1], vals[:, 2]
+    sq = _nonzero(eigenvalues(a1 + a2), tol) ** 2
+    prods = _nonzero(_block_spectra(blocks, 2), tol)
+    s12, s21 = prods[:, 0], prods[:, 1]
     tol2 = _scaled_tol((a1 @ a2)[:, None])
     return (_match(sq, s12, tol2) & _match(sq, s21, tol2)
             & _match(s12, s21, tol2))
@@ -311,9 +358,9 @@ def _rsm(mats: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     n = mats.shape[1]
     tol = _scaled_tol(mats)
     tolp = _scaled_tol(_cyclic_product(mats, 0)[:, None])
-    shifted = [_cyclic_product(blocks, k) for k in range(n)]
-    vals = eigenvalues(np.stack([mats.sum(axis=1), *shifted], axis=1))
-    spec = _nonzero(vals[:, 1:], tolp)      # spec[:, k]: shift k
+    sums = eigenvalues(mats.sum(axis=1))
+    prods = _block_spectra(blocks, n)       # prods[:, k]: shift k
+    spec = _nonzero(prods, tolp)
     # Genuine nonzero eigenvalues lambda of the sum satisfy lambda^n in
     # the nonzero spectrum of the product, so |lambda| is bounded below
     # by min|spec0|^(1/n).  Defective zero eigenvalues of the sum, on
@@ -324,7 +371,16 @@ def _rsm(mats: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     smallest = np.fmin.reduce(np.abs(spec[:, 0]), axis=1)  # NaN: empty
     cut = np.array([t if np.isnan(m) else max(t, float(m) ** (1.0 / n) / 10.0)
                     for t, m in zip(tol, smallest)])
-    total = _nonzero(vals[:, 0], cut)
+    total = _nonzero(sums, cut)
+    # The product eigenvalues that partner a kept lambda lie above
+    # cut^n, which can be below tolp, so the product's spectrum is cut
+    # there instead.  That cut never goes below the roundoff of forming
+    # the n-fold product of order-sized matrices and solving it, about
+    # n * order * eps of its norm (tolp / SET_MATCH_TOL): the zero
+    # eigenvalues that blocks of unequal size force on a product come
+    # out at that level, and must not survive.
+    floor = tolp * (n * mats.shape[-1] * np.finfo(float).eps / SET_MATCH_TOL)
+    spec = _nonzero(prods, np.maximum(floor, np.minimum(tolp, cut ** n)))
     ok = _match(total ** n, spec[:, 0], tolp)
     for k in range(1, n):
         # rotation invariance of the left-hand set under nth roots of

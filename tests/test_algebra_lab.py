@@ -8,11 +8,13 @@ import compspec.algebra_lab as al
 from compspec import RationalSymbol
 from compspec.algebra_lab import (Pattern, eigenvalues, make_family,
                                   run_checker, truncation_from_coeffs,
-                                  STACK_TRIALS, _cyclic_product,
-                                  _equality_cta, _lip, _make_stack, _match,
-                                  _n2c, _required_zero_pairs, _rsm,
-                                  _scaled_tol, _supports, _trial_seed,
-                                  _union_flc, _verify_products)
+                                  STACK_TRIALS, _block_spectra,
+                                  _cyclic_product, _equality_cta, _lip,
+                                  _make_stack, _match, _n2c,
+                                  _required_zero_pairs, _rsm, _scaled_tol,
+                                  _similarity_candidate, _supports,
+                                  _trial_seed, _union_flc, _verify_products,
+                                  _well_conditioned)
 from compspec.errors import InvalidDataError, RootFindingError
 
 RNG = np.random.default_rng(99)
@@ -159,6 +161,22 @@ def test_stacked_families_are_the_single_families(pattern, n, order, trials):
         assert np.array_equal(blocks[t], ref_blocks)
 
 
+@pytest.mark.parametrize("order", [16, 24])
+def test_similarity_gate_decides_as_the_condition_number(order, monkeypatch):
+    # the Frobenius bound proves most candidates without an SVD; the
+    # rest fall back to one, and every decision is cond_2(s) < 100
+    svds = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond",
+                        lambda s: svds.append(len(s)) or cond(s))
+    rng = np.random.default_rng(order)
+    s = _similarity_candidate(rng.normal(size=(300, 2, order, order)))
+    ok = _well_conditioned(s, np.linalg.inv(s))
+    assert np.array_equal(ok, cond(s) < 100.0)
+    assert 0 < sum(svds) < len(s)
+    assert 0 < ok.sum() < len(s)
+
+
 def test_redrawn_similarity_keeps_the_stream(monkeypatch):
     # seeds 27 and 37 reject their first similarity candidate
     redraws = []
@@ -230,23 +248,25 @@ def test_stacked_run_stays_small():
 
 @pytest.mark.parametrize("pattern,n,order", SHAPES)
 def test_block_spectra_are_the_conjugated_spectra(pattern, n, order):
-    # the checkers solve summands and products on the blocks; the dense
-    # solve of every conjugated one is the oracle they must agree with
+    # the checkers solve summands and products on the blocks' nonzero
+    # columns; the dense solve of every conjugated one is the oracle
+    # they must agree with
     mats, blocks = _make_stack(pattern, n, order,
                                [_trial_seed(4, t) for t in range(3)])
-    pairs = [(mats, blocks)]
+    products = [(mats, 1)]                    # the summands
     if pattern is Pattern.NILPOTENT_PAIR:     # a_1 a_2 and a_2 a_1
-        pairs.append(tuple(m[:, [0, 1]] @ m[:, [1, 0]]
-                           for m in (mats, blocks)))
+        products.append((mats[:, [0, 1]] @ mats[:, [1, 0]], 2))
     if pattern is Pattern.CYCLIC:             # every cyclic product
-        pairs.append(tuple(
-            np.stack([_cyclic_product(m, k) for k in range(n)], axis=1)
-            for m in (mats, blocks)))
-    for dense, block in pairs:
+        products.append((np.stack([_cyclic_product(mats, k)
+                                   for k in range(n)], axis=1), n))
+    width = -(-order // _supports(pattern, n)[1]) + 1
+    for dense, length in products:
         tol = _scaled_tol(dense)
-        dense_vals, block_vals = eigenvalues(dense), eigenvalues(block)
-        for j in range(dense.shape[1]):
-            assert _match(dense_vals[:, j], block_vals[:, j], tol).all()
+        dense_vals = eigenvalues(dense)
+        reduced = _block_spectra(blocks, length)
+        assert reduced.shape == (3, n, width)
+        for j in range(n):
+            assert _match(dense_vals[:, j], reduced[:, j], tol).all()
 
 
 # the benchmark's lemma suites (perfbench/run.py LEMMA_SUITES)
@@ -272,19 +292,15 @@ def test_lemma_suites_solve_one_dense_sum_per_trial(monkeypatch):
     for lemma, n, order in LEMMA_SUITES:
         for seed in range(4):
             assert run_checker(lemma, n, order, 50, seed) == (True, [])
-    # one solve per stack of 8 trials, 7 stacks per 50 trials
-    assert len(solves) == len(stacks) == 196
-    for (pattern, n, (mats, _)), m in zip(stacks, solves):
-        assert np.array_equal(m[:, 0], mats.sum(axis=1))
-        # every other entry is zero off rows R and columns C that share
-        # at most one block: balancing permutes out the rest, so QR
-        # runs on that block only
-        order = m.shape[-1]
-        largest = -(-order // _supports(pattern, n)[1])
-        for entry in m[:, 1:].reshape(-1, order, order):
-            rows = np.flatnonzero(entry.any(axis=1))
-            cols = np.flatnonzero(entry.any(axis=0))
-            assert np.intersect1d(rows, cols).size <= largest
+    # per stack of 8 trials, 7 stacks per 50 trials: one dense solve of
+    # the sums, then one reduced solve of the summands or products
+    assert len(stacks) == 196 and len(solves) == 392
+    for (pattern, n, (mats, _)), dense, reduced in zip(
+            stacks, solves[::2], solves[1::2]):
+        assert np.array_equal(dense, mats.sum(axis=1))
+        largest = -(-mats.shape[-1] // _supports(pattern, n)[1])
+        assert reduced.shape[0] == len(mats)
+        assert reduced.shape[-1] == reduced.shape[-2] <= largest + 1
 
 
 # -- set matching ------------------------------------------------------
@@ -323,6 +339,34 @@ def test_spectra_match_basics():
 ])
 def test_checkers_pass(checker, pattern, n):
     assert list(checker(*_make_stack(pattern, n, 18, [1, 2, 3]))) == [True] * 3
+
+
+# trial seeds of run_checker("rsm", n, order, 50, master) for masters 8;
+# 0, 2, 3, 3, 4, 14; 10; 3; and 0
+@pytest.mark.parametrize("n,order,seed", [
+    (6, 60, 731646935), (8, 40, 685236309), (8, 40, 143843178),
+    (8, 40, 1320505903), (8, 40, 1695410572), (8, 40, 1176812115),
+    (8, 40, 959234412), (7, 50, 1398238234), (10, 41, 677071331),
+    (12, 50, 6228730),
+])
+def test_rsm_keeps_small_product_eigenvalues(n, order, seed):
+    # the product has a genuine eigenvalue below tolp whose nth root in
+    # the sum lies above the cut: it must be kept to partner that root
+    mats, blocks = _make_stack(Pattern.CYCLIC, n, order, [seed])
+    tolp = _scaled_tol(_cyclic_product(mats, 0)[:, None])[0]
+    prod = np.abs(_block_spectra(blocks, n)[0, 0])
+    assert ((prod > tolp / 100) & (prod < tolp)).any()
+    assert _rsm(mats, blocks)[0]
+
+
+@pytest.mark.parametrize("n,order,seed", [(10, 41, 1141983266),
+                                          (12, 50, 1826701615)])
+def test_rsm_drops_the_roundoff_zeros_of_products(n, order, seed):
+    # blocks of unequal size force zero eigenvalues on every cyclic
+    # product, computed at roundoff; here cut^n lies below them, so
+    # only the roundoff floor keeps them from wanting a partner
+    mats, blocks = _make_stack(Pattern.CYCLIC, n, order, [seed])
+    assert _rsm(mats, blocks)[0]
 
 
 def test_rsm_order_not_divisible_by_n():
@@ -369,6 +413,21 @@ def test_rsm_cut_separates_long_jordan_chains():
     # the genuine modulus and a cut 100 times lower
     assert 1e-3 < mods[-9] < 0.03 and abs(mods[-8] - 1.0) < 1e-6
     assert _rsm(fam[None], blocks[None])[0]
+
+
+# each family breaks the products its checker's lemma needs to vanish
+@pytest.mark.parametrize("checker,pattern,n", [
+    pytest.param(_equality_cta, Pattern.NILPOTENT_PAIR, 2,
+                 id="cta-nilpotent_pair"),
+    pytest.param(_lip, Pattern.TWO_SIDED, 2, id="lip-two_sided"),
+    pytest.param(_n2c, Pattern.ONE_WAY, 2, id="n2c-one_way"),
+    pytest.param(_n2c, Pattern.LEAD_IN, 2, id="n2c-lead_in"),
+    pytest.param(_rsm, Pattern.TWO_SIDED, 5, id="rsm-two_sided"),
+    pytest.param(_union_flc, Pattern.CYCLIC, 4, id="flc-cyclic"),
+])
+def test_checkers_reject_broken_patterns(checker, pattern, n):
+    seeds = [_trial_seed(0, t) for t in range(16)]
+    assert not np.any(checker(*_make_stack(pattern, n, 18, seeds)))
 
 
 def test_run_checker():

@@ -196,14 +196,17 @@ def test_reports_do_not_depend_on_coefficient_scale(name, tmp_path):
     for k in [*range(-60, 61, 4), -540, 540]:
         scaled = {**doc, **{key: [[x * 2.0 ** k for x in c] for c in doc[key]]
                             for key in ("num", "den")}}
-        path, out = tmp_path / "scaled.json", tmp_path / "report.json"
+        # fresh files per k: overwriting a file can be far slower than
+        # writing a new one on some filesystems
+        path, out = tmp_path / f"scaled{k}.json", tmp_path / f"report{k}.json"
+        cut = tmp_path / f"truncate{k}.json"
         path.write_text(json.dumps(scaled))
         assert run(["analyze", path, "--out", out]) == 0, k
         report = json.loads(out.read_text())
         del report["input"]
         reports.add(json.dumps(report, sort_keys=True))
-        assert run(["truncate", path, "--order", "32", "--out", out]) == 0, k
-        truncations.add(out.read_text())
+        assert run(["truncate", path, "--order", "32", "--out", cut]) == 0, k
+        truncations.add(cut.read_text())
     assert len(reports) == 1
     assert len(truncations) == 1 and "no_prediction" not in truncations.pop()
 

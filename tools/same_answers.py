@@ -32,11 +32,13 @@ every document, and ``truncate --order 32 --out`` on every rational one
 (so its ``distances`` are compared), in the same working-directory
 layout.  It also runs a ``lemma-check --out`` battery: the benchmark's
 suites (``perfbench/run.py`` ``LEMMA_SUITES``, at its trials per
-request) and rsm with n = 5 at orders 11, 17 and 23, where the order is
-not divisible by n, each at master seeds 0-3.  Every difference in exit
-code, stdout, stderr, report bytes or SVG bytes is printed (an uncaught
-exception counts as exit 1, with its type and message as stderr); the
-exit status is 0 when there is none, 1 otherwise.
+request), rsm with n = 5 at orders 11, 17 and 23, where the order is
+not divisible by n, and rsm with n = 8 at order 40, where some products
+have genuine eigenvalues below their matching tolerance, each at master
+seeds 0-3.  Every difference in exit code, stdout, stderr, report bytes
+or SVG bytes is printed (an uncaught exception counts as exit 1, with
+its type and message as stderr); the exit status is 0 when there is
+none, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -137,7 +139,8 @@ def lemma_runs() -> dict[str, list[str]]:
     sys.path.insert(0, str(ROOT / "perfbench"))
     from run import LEMMA_SPLIT, LEMMA_SUITES, LEMMA_TRIALS
 
-    shapes = LEMMA_SUITES + [("rsm", 5, order) for order in RSM_ORDERS]
+    shapes = (LEMMA_SUITES + [("rsm", 5, order) for order in RSM_ORDERS]
+              + [("rsm", 8, 40)])
     trials = LEMMA_TRIALS // LEMMA_SPLIT
     return {f"lemma-{lemma}-n{n}-o{order}-s{seed}": [
         "lemma-check", "--lemma", lemma, "--n", str(n), "--order",
