@@ -13,6 +13,10 @@ Symbol documents are plain JSON with complex numbers as [re, im] pairs::
 document, reduce it once with :func:`compspec.symbol.analyze` and write
 one projection of that analysis.
 
+Every document is written by :func:`_dumps`, which gives the bytes of
+``json.dumps(doc, indent=2, sort_keys=True)`` without the stdlib's
+pure-Python encoder, the one it falls back to whenever ``indent`` is set.
+
 :func:`main` parses ``argv`` with one parser built on its first call and
 reused for the rest of the process, so it can be called repeatedly
 in-process at the cost of ``parse_args`` alone.
@@ -31,7 +35,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from .algebra_lab import (eigenvalues, family_size, run_checker,
                           truncation_from_coeffs)
@@ -189,8 +195,77 @@ def _dw_json(dw: DenjoyWolffRecord) -> dict:
             "location": dw.location.value}
 
 
+def _float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _encode(o, indent: str, parts: list) -> None:
+    """Append the parts of o as json.dumps(indent=2, sort_keys=True)
+    writes it, o starting at the current indent.  Dict keys must be
+    strings; there is no cycle check."""
+    if isinstance(o, str):
+        parts.append(_quote(o))
+    elif o is None:
+        parts.append("null")
+    elif o is True:
+        parts.append("true")
+    elif o is False:
+        parts.append("false")
+    elif isinstance(o, int):
+        parts.append(int.__repr__(o))
+    elif isinstance(o, float):
+        parts.append(_float(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            parts.append("[]")
+            return
+        inner = indent + "  "
+        if len(o) == 2:   # most of a report is [re, im] pairs
+            x, y = o
+            if (type(x) is float and type(y) is float
+                    and x - x == 0.0 == y - y):   # both finite
+                parts.append(f"[\n{inner}{x!r},\n{inner}{y!r}\n{indent}]")
+                return
+        sep = "[\n" + inner
+        for v in o:
+            parts.append(sep)
+            _encode(v, inner, parts)
+            sep = ",\n" + inner
+        parts.append("\n" + indent + "]")
+    elif isinstance(o, dict):
+        if not o:
+            parts.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for k, v in sorted(o.items()):
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            parts.append(f"{sep}{_quote(k)}: ")
+            _encode(v, inner, parts)
+            sep = ",\n" + inner
+        parts.append("\n" + indent + "}")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} "
+                        "is not JSON serializable")
+
+
+def _dumps(o) -> str:
+    """json.dumps(o, indent=2, sort_keys=True), byte for byte, for trees
+    of str-keyed dicts, lists, tuples and JSON scalars."""
+    parts: list = []
+    _encode(o, "", parts)
+    return "".join(parts)
+
+
 def _emit(doc: dict, out_path: str | None):
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = _dumps(doc) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)

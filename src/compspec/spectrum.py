@@ -211,10 +211,12 @@ def _distance(p, lam: complex, upto: float) -> float:
     if isinstance(p, Spiral):
         return _curve(p.a, lam, upto, False)
     b = p.base
-    if b.real < 0.0 and b.imag == 0.0:   # even and odd powers: b^2 and b b^2
-        even = GeometricTail(b * b)
+    if b.real < 0.0 if b.imag == 0.0 else b.real == 0.0:
+        # a negative real or imaginary base: b^2 is exactly real, and the
+        # powers are the even ones b^2k and the odd ones b b^2k
+        even, m = GeometricTail(b * b), abs(b)
         return min(_distance(even, lam, upto),
-                   -b.real * _distance(even, lam / b, upto / -b.real))
+                   m * _distance(even, lam / b, upto / m))
     return (_curve(-cmath.log(b), lam, upto, True) if b
             else min(abs(lam), abs(lam - 1.0)))
 

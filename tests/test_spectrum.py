@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import compspec.spectrum
 from compspec import (Disk, GeometricTail, MobiusMap, Points, Spiral,
                       TypeClass, contains, denjoy_wolff, kms2t_essential_union,
                       lft_spectra, max_modulus, partition, region,
@@ -283,6 +284,37 @@ def test_near_unimodular_tail_is_not_sampled(base):
         assert dists[2] == (0.5 if base > 0 else pytest.approx(0, abs=1e-7))
     else:                # the powers turn densely: all lie close
         assert max(dists[:3]) < 1e-2
+
+
+@pytest.mark.parametrize("base", [0.999j, -0.5j, 0.9999j])
+def test_imaginary_tail_distance_matches_every_power(base):
+    # (iy)^k = y^k i^k exactly; a power below 1e-3, or the limit point 0,
+    # is farther from lam than |lam| - 1e-3, which the nearest one beats
+    y = base.imag
+    k = np.arange(int(math.log(1e-3) / math.log(abs(y))) + 1)
+    powers = np.power(y, k) * np.array([1, 1j, -1, -1j])[k % 4]
+    r = region(GeometricTail(base))
+    for lam in (cmath.exp(1j * math.pi / 4), 0.3 + 0.2j, -0.7j, 0.5):
+        brute = float(np.abs(powers - lam).min())
+        assert brute < abs(lam) - 1e-3
+        assert distance(r, lam) == pytest.approx(brute, abs=1e-12), lam
+
+
+@pytest.mark.parametrize("base", [0.9999999j, -0.9999999j])
+def test_imaginary_tail_reaches_only_the_real_closed_form(base,
+                                                          monkeypatch):
+    # b^2 is exactly real, so no band of ~1e8 powers is walked
+    exponents = []
+    curve = compspec.spectrum._curve
+
+    def counted(a, *args):
+        exponents.append(a)
+        return curve(a, *args)
+
+    monkeypatch.setattr(compspec.spectrum, "_curve", counted)
+    d = distance(region(GeometricTail(base)), cmath.exp(1j * math.pi / 4))
+    assert d == pytest.approx(math.sqrt(0.5), rel=1e-9)
+    assert exponents and all(a.imag == 0.0 for a in exponents)
 
 
 # -- linear-fractional dispatch ----------------------------------------

@@ -23,7 +23,11 @@ symbol documents is built once, from this checkout's
   {0.5, 0.9, 0.99, 0.999, 0.9999};
 * three rotations of the lollipop golden;
 * the order-4 map (-3/8, -3/4, 1/8), conjugated by three rotations;
-* bumps of degree 4-64 (``gen.bump``, three heights each).
+* bumps of degree 4-64 (``gen.bump``, three heights each);
+* the compact maps phi(z) = lam z for lam in {0.5, -0.9, 0.999, 0.9i,
+  0.99 e^{0.7i}}, whose spectra are the geometric tail of lam: their
+  SVGs compare the tail's boxes, and ``truncate`` checks that the
+  truncation's eigenvalues, the powers of lam, lie on the tail.
 
 For each tree a worker process imports ``compspec`` from the tree's
 ``src/`` and calls ``compspec.cli.main`` in-process for
@@ -68,6 +72,7 @@ LEMMA_SEEDS = range(4)
 GOLDEN_SCALES = (-540, -40, -20, 20, 40, 540)
 TRUNCATE = ["--order", "32", "--out", "report.json"]
 RSM_ORDERS = (11, 17, 23)
+TAIL_BASES = (0.5, -0.9, 0.999, 0.9j, 0.99 * cmath.exp(0.7j))
 
 
 def _rational(num, den) -> dict:
@@ -131,6 +136,8 @@ def battery() -> dict[str, dict]:
     for k in (4, 8, 16, 32, 48, 64):
         for a in (1e-4, 2e-4, 3e-4):
             docs[f"bump{k}-{a}"] = gen.bump(k, 1.0 + a)[0]
+    for i, lam in enumerate(TAIL_BASES):
+        docs[f"tail{i}"] = _rational((0, lam), (1,))
     return docs
 
 
