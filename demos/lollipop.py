@@ -44,5 +44,5 @@ union = cs.kms2t_essential_union(phi)
 print("cross-check union: ", union.primitives)
 print("routes agree:      ", cs.region_equal(union, report.essential))
 
-write_svg(report.full, "lollipop.svg", title="lollipop spectrum")
+write_svg(report.full, "lollipop.svg")
 print("\nwrote lollipop.svg")

@@ -9,9 +9,12 @@ Symbol documents are plain JSON with complex numbers as [re, im] pairs::
      "denjoy_wolff": {"omega": [1,0], "derivative": [0.5,0],
                       "location": "boundary"}}
 
-``analyze``, ``spectrum``, ``classify`` and ``boundary`` each parse the
-document, reduce it once with :func:`compspec.symbol.analyze` and write
-one projection of that analysis.
+An empty ``points`` list declares a compact operator.
+
+``analyze``, ``spectrum``, ``classify`` and ``boundary`` are one table in
+:func:`build_parser`: each parses the document, reduces it once with
+:func:`compspec.symbol.analyze` and writes one projection of that
+analysis.  Their ``--svg`` draws the synthesized "full" region as is.
 
 Every document is written by :func:`_dumps`, which gives the bytes of
 ``json.dumps(doc, indent=2, sort_keys=True)`` without the stdlib's
@@ -41,11 +44,12 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .algebra_lab import (eigenvalues, family_size, run_checker,
                           truncation_from_coeffs)
+from .config import EPS
 from .errors import CompspecError, NotCertifiedError, NotInScopeError
 from .mobius import SecondOrderData
-from .render import region_svg
+from .render import write_svg
 from .spectrum import (Disk, GeometricTail, Points, Spiral, SpectralRegion,
-                       contains, distance, region, synthesize)
+                       distance, region, synthesize)
 from .symbol import (Analysis, BoundaryDataSymbol, DenjoyWolffRecord,
                      Location, RationalSymbol, analyze, essential_norm_sq)
 
@@ -103,11 +107,8 @@ def _parse_symbol(doc):
         return RationalSymbol(_parse_coeffs(doc, "num"),
                               _parse_coeffs(doc, "den"))
     if kind == "boundary-data":
-        raw_pts = doc.get("points")
-        if not isinstance(raw_pts, list) or not raw_pts:
-            raise CompspecError("points: expected a nonempty list")
         pts = []
-        for i, p in enumerate(raw_pts):
+        for i, p in enumerate(_parse_list(doc.get("points"), "points")):
             if not isinstance(p, dict):
                 raise CompspecError(f"points[{i}]: expected an object")
             pts.append(SecondOrderData(
@@ -295,9 +296,10 @@ def _rejection_doc(doc, reason: str, cert=None) -> dict:
     return out
 
 
-def _project(args, projection) -> int:
-    """Reduce the input document once and write ``projection(doc,
-    analysis)``, plus the SVG of its "full" region when asked.
+def _project(args) -> int:
+    """Reduce the input document once and write the document that
+    ``args.projection(doc, analysis)`` gives with its "full" region (or
+    None), plus the SVG of that region when asked.
 
     Out-of-scope and uncertified symbols are rejected with exit 2; the
     rejection carries the certificate once the reduction has it."""
@@ -305,20 +307,18 @@ def _project(args, projection) -> int:
     a = None
     try:
         a = analyze(_parse_symbol(doc))
-        out = projection(doc, a)
+        out, full = args.projection(doc, a)
     except (NotInScopeError, NotCertifiedError) as exc:
         cert = None if a is None else a.certificate
         _emit(_rejection_doc(doc, str(exc), cert), args.out)
         return EXIT_REJECTED
     _emit(out, args.out)
     if getattr(args, "svg", None):
-        r = _region_from_json(out["full"])
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(region_svg(r, title="spectrum"))
+        write_svg(full, args.svg)
     return EXIT_OK
 
 
-def _full_report(doc, a: Analysis) -> dict:
+def _full_report(doc, a: Analysis) -> tuple:
     report = synthesize(a)
     return {
         "schema": SCHEMA,
@@ -333,45 +333,29 @@ def _full_report(doc, a: Analysis) -> dict:
         "full": _region_json(report.full),
         "essential_norm_sq": essential_norm_sq(a),
         "diagnostics": {"notes": list(report.notes)},
-    }
+    }, report.full
 
 
-def _spectrum(doc, a: Analysis) -> dict:
+def _spectrum(doc, a: Analysis) -> tuple:
     report = synthesize(a)
     return {"schema": SCHEMA, "accepted": True, "rho": report.rho,
             "essential": _region_json(report.essential),
-            "full": _region_json(report.full)}
+            "full": _region_json(report.full)}, report.full
 
 
-def _classification(doc, a: Analysis) -> dict:
+def _classification(doc, a: Analysis) -> tuple:
     return {"schema": SCHEMA,
             "denjoy_wolff": _dw_json(a.boundary.denjoy_wolff),
-            "type_class": a.type_class.value}
+            "type_class": a.type_class.value}, None
 
 
-def _boundary(doc, a: Analysis) -> dict:
+def _boundary(doc, a: Analysis) -> tuple:
     pts = [{"zeta": _c(p.zeta), "value": _c(p.value),
             "d1": _c(p.d1), "d2": _c(p.d2), "multiplicity": c.multiplicity,
             "contact_margin": p.contact_margin()}
            for p, c in zip(a.boundary.points, a.certificate.checks)]
     return {"schema": SCHEMA, "contact_set": pts,
-            "certification": _cert_json(a.certificate)}
-
-
-def cmd_analyze(args) -> int:
-    return _project(args, _full_report)
-
-
-def cmd_spectrum(args) -> int:
-    return _project(args, _spectrum)
-
-
-def cmd_classify(args) -> int:
-    return _project(args, _classification)
-
-
-def cmd_boundary(args) -> int:
-    return _project(args, _boundary)
+            "certification": _cert_json(a.certificate)}, None
 
 
 def cmd_lemma_check(args) -> int:
@@ -397,8 +381,8 @@ def cmd_truncate(args) -> int:
     try:
         report = synthesize(RationalSymbol(num, den))
         out["predicted_full"] = _region_json(report.full)
-        out["distances"] = [0.0 if contains(report.full, v)
-                            else distance(report.full, v) for v in vals]
+        dists = (distance(report.full, v) for v in vals)
+        out["distances"] = [0.0 if d <= EPS else d for d in dists]
     except CompspecError as exc:
         out["diagnostics"] = {"no_prediction": str(exc)}
     _emit(out, args.out)
@@ -413,9 +397,7 @@ def cmd_render(args) -> int:
     if prims is None:
         raise CompspecError(
             "report document has neither a 'full' nor an 'essential' region")
-    r = _region_from_json(_parse_list(prims, "region"))
-    with open(args.svg, "w", encoding="utf-8") as fh:
-        fh.write(region_svg(r, title="spectrum"))
+    write_svg(_region_from_json(_parse_list(prims, "region")), args.svg)
     return EXIT_OK
 
 
@@ -430,37 +412,26 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_common(p, svg=False):
-    p.add_argument("--out", default=None, help="write JSON here, not stdout")
-    if svg:
-        p.add_argument("--svg", default=None, help="also write an SVG plot")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="compspec",
                      description="spectra of composition operators with "
                                  "order-2 boundary contact symbols")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="full pipeline report")
-    p.add_argument("input", help="symbol document (JSON)")
-    _add_common(p, svg=True)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("spectrum", help="spectral regions only")
-    p.add_argument("input")
-    _add_common(p, svg=True)
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("classify", help="Denjoy-Wolff point and type class")
-    p.add_argument("input")
-    _add_common(p)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("boundary", help="contact set and second-order data")
-    p.add_argument("input")
-    _add_common(p)
-    p.set_defaults(func=cmd_boundary)
+    # the symbol subcommands, each one projection of the analysis
+    for name, help_, projection, svg in (
+            ("analyze", "full pipeline report", _full_report, True),
+            ("spectrum", "spectral regions only", _spectrum, True),
+            ("classify", "Denjoy-Wolff point and type class",
+             _classification, False),
+            ("boundary", "contact set and second-order data", _boundary,
+             False)):
+        p = sub.add_parser(name, help=help_)
+        p.add_argument("input", help="symbol document (JSON)")
+        p.add_argument("--out", help="write JSON here, not stdout")
+        if svg:
+            p.add_argument("--svg", help="also write an SVG plot")
+        p.set_defaults(func=_project, projection=projection)
 
     p = sub.add_parser("lemma-check", help="run a seeded lemma suite")
     p.add_argument("--lemma", required=True,
@@ -477,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="eigenvalues of the N x N truncation")
     p.add_argument("input")
     p.add_argument("--order", type=int, required=True)
-    _add_common(p)
+    p.add_argument("--out", help="write JSON here, not stdout")
     p.set_defaults(func=cmd_truncate)
 
     p = sub.add_parser("render", help="SVG plot from a report document")
@@ -488,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # parse_args keeps no state on the parser: each call makes a fresh
-# namespace, and set_defaults bound the cmd_* functions once
+# namespace, and set_defaults bound the subcommand functions once
 _shared_parser = functools.cache(build_parser)
 
 

@@ -3,12 +3,14 @@
 Each contact point either iterates out of the contact set within n steps
 (n = number of contact points), or is eventually periodic.  The contact
 set therefore splits into iterate-out points, disjoint cycles, and
-lead-in sets, one per cycle.  Cycle multipliers come from the chain rule
-over the cycle, never from composing the symbol with itself.
+lead-in sets, one per cycle, which :func:`partition` finds in one walk
+along the successor indices.  Cycle multipliers come from the chain rule
+over the cycle's own data, never from composing the symbol with itself.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .config import EPS, MATCH_TOL
@@ -68,53 +70,33 @@ def partition(s: Symbol | Analysis) -> OrbitPartition:
     n = len(points)
     succ = [_match(points, p.value) for p in data]
 
-    # walk each point at most n+1 steps: exit -> iterate-out, else find
-    # the first repeat, which identifies the cycle the point reaches
-    reaches_cycle: list[tuple | None] = [None] * n
-    iterate_out = []
-    cycles: list[tuple] = []
-
-    def cycle_of(start: int) -> tuple | None:
-        path = [start]
-        seen = {start: 0}
-        cur = start
-        for _ in range(n + 1):
-            nxt = succ[cur]
-            if nxt is None:
-                return None
-            if nxt in seen:
-                return tuple(path[seen[nxt]:])
-            seen[nxt] = len(path)
-            path.append(nxt)
-            cur = nxt
-        raise AssertionError("orbit walk exceeded the pigeonhole bound")
-
+    # fate[i] = -1 if i's orbit leaves the contact set, else the index
+    # of the cycle it reaches.  A walk stops where the orbit leaves,
+    # joins a known fate, or closes a new cycle at the point it entered
+    fate: list[int | None] = [None] * n
+    cycles = []
     for i in range(n):
-        cyc = cycle_of(i)
-        if cyc is None:
-            iterate_out.append(i)
-        else:
-            reaches_cycle[i] = cyc
-            canon = tuple(sorted(cyc))
-            if canon not in [tuple(sorted(c)) for c in cycles]:
-                cycles.append(cyc)
+        path, cur = [], i
+        while cur is not None and fate[cur] is None and cur not in path:
+            path.append(cur)
+            cur = succ[cur]
+        if cur is not None and fate[cur] is None:   # closed a new cycle
+            fate[cur] = len(cycles)
+            cycles.append(path[path.index(cur):])
+        end = -1 if cur is None else fate[cur]
+        for j in path:
+            fate[j] = end
 
     cycle_objs = []
-    lead_ins: dict[int, tuple] = {}
-    for k, cyc in enumerate(cycles):
-        pts = tuple(points[i] for i in cyc)
-        mult = cycle_multiplier(a, pts)
-        if len(pts) > 1 and mult <= 1.0 + EPS:
+    for cyc in cycles:
+        mult = math.prod(abs(data[j].d1) for j in cyc)
+        if len(cyc) > 1 and mult <= 1.0 + EPS:
             raise InvalidDataError(
-                f"cycle of length {len(pts)} with multiplier {mult} <= 1; "
+                f"cycle of length {len(cyc)} with multiplier {mult} <= 1; "
                 "a second Denjoy-Wolff point would follow")
-        cycle_objs.append(Cycle(pts, mult))
-        members = set(cyc)
-        leads = tuple(points[i] for i in range(n)
-                      if reaches_cycle[i] is not None
-                      and tuple(sorted(reaches_cycle[i])) == tuple(sorted(cyc))
-                      and i not in members)
-        lead_ins[k] = leads
-    return OrbitPartition(tuple(points[i] for i in iterate_out),
+        cycle_objs.append(Cycle(tuple(points[j] for j in cyc), mult))
+    lead_ins = {k: tuple(points[i] for i in range(n)
+                         if fate[i] == k and i not in cyc)
+                for k, cyc in enumerate(cycles)}
+    return OrbitPartition(tuple(points[i] for i in range(n) if fate[i] == -1),
                           tuple(cycle_objs), lead_ins)
-

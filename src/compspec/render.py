@@ -32,6 +32,7 @@ _HEADER = (
     f'width="{_SIZE}" height="{_SIZE}" '
     f'viewBox="0 0 {_SIZE} {_SIZE}">\n'
     '<!-- compspec spectral region; schema compspec/1 -->\n'
+    '<title>spectrum</title>\n'
 )
 
 
@@ -94,8 +95,8 @@ def _spiral_points(a: complex) -> str:
     return (("%.6f,%.6f " * z.size) % tuple(xy.tolist()))[:-1]
 
 
-def region_svg(r: SpectralRegion, title: str = "spectrum") -> str:
-    parts = [_HEADER, f"<title>{title}</title>\n"]
+def region_svg(r: SpectralRegion) -> str:
+    parts = [_HEADER]
     cx, cy = _px(0.0 + 0.0j)
     parts.append(
         f'<circle cx="{cx}" cy="{cy}" r="{_px_len(1.0)}" fill="none" '
@@ -128,6 +129,6 @@ def region_svg(r: SpectralRegion, title: str = "spectrum") -> str:
     return "".join(parts)
 
 
-def write_svg(r: SpectralRegion, path: str, title: str = "spectrum") -> None:
+def write_svg(r: SpectralRegion, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(region_svg(r, title=title))
+        fh.write(region_svg(r))

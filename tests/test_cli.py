@@ -142,6 +142,21 @@ def test_malformed_document_exit_1(tmp_path, capsys):
 _POINT = {"zeta": [1, 0], "value": [1, 0], "d1": [0.5, 0], "d2": [0, 0]}
 
 
+def test_compact_boundary_data_document(tmp_path):
+    # no contact points: the operator is compact, and its spectrum is
+    # {0} and the powers of phi'(omega)
+    doc = tmp_path / "compact.json"
+    doc.write_text(json.dumps({
+        "kind": "boundary-data", "points": [],
+        "denjoy_wolff": {"omega": [0.3, 0], "derivative": [0.5, 0],
+                         "location": "interior"}}))
+    out = tmp_path / "report.json"
+    assert run(["analyze", doc, "--out", out]) == 0
+    report = json.loads(out.read_text())
+    assert report["essential"] == [{"points": [[0.0, 0.0]]}]
+    assert report["full"] == [{"tail": [0.5, 0.0]}]
+
+
 @pytest.mark.parametrize("command,doc", [
     ("truncate", {"kind": "rational", "den": [[1, 0]]}),
     ("truncate", [1, 2]),
@@ -170,6 +185,10 @@ _POINT = {"zeta": [1, 0], "value": [1, 0], "d1": [0.5, 0], "d2": [0, 0]}
                                   "derivative": [0.5, math.nan],
                                   "location": "boundary"}}),
     ("render", {"full": [{"points": [[math.nan, 0]]}]}),
+    # a boundary Denjoy-Wolff point must be one of the declared points
+    ("analyze", {"kind": "boundary-data", "points": [],
+                 "denjoy_wolff": {"omega": [1, 0], "derivative": [0.5, 0],
+                                  "location": "boundary"}}),
 ])
 def test_malformed_document_typed_error(command, doc, tmp_path, capsys):
     path = tmp_path / "bad.json"
@@ -434,15 +453,22 @@ def test_svg_deterministic(tmp_path):
     text = a.read_text()
     assert text.startswith('<?xml version="1.0"')
     assert 'version="1.1"' in text
+    assert "<title>spectrum</title>\n" in text
     assert "<polyline" in text  # the spiral stick of the lollipop
     assert text.count("<circle") >= 2  # unit circle + disk
 
 
-def test_render_matches_analyze_svg(tmp_path):
+@pytest.mark.parametrize("command", ["analyze", "spectrum"])
+@pytest.mark.parametrize("name", EXAMPLES + ["tail"])
+def test_render_matches_analyze_svg(command, name, tmp_path):
+    # the subcommand draws the region it synthesized, render draws the
+    # one it reads back from the report: the bytes must agree
+    sym = GOLDEN / f"{name}.symbol.json"
+    if name == "tail":   # phi(z) = 0.9i z
+        sym = _write_rational(tmp_path / "tail.json", (0, 0.9j), (1,))
     report = tmp_path / "r.json"
     svg1 = tmp_path / "a.svg"
-    assert run(["analyze", GOLDEN / "lollipop.symbol.json",
-                "--out", report, "--svg", svg1]) == 0
+    assert run([command, sym, "--out", report, "--svg", svg1]) == 0
     svg2 = tmp_path / "b.svg"
     assert run(["render", report, "--svg", svg2]) == 0
     assert svg1.read_bytes() == svg2.read_bytes()

@@ -2,8 +2,11 @@ import cmath
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from compspec import contact_set, cycle_multiplier, partition
+from compspec import (BoundaryDataSymbol, DenjoyWolffRecord, Location,
+                      RationalSymbol, SecondOrderData, analyze, contact_set,
+                      cycle_multiplier, partition)
 from conftest import nearest
 
 
@@ -84,3 +87,90 @@ def test_cycle_multiplier_start_point_independent(two_cycle, eight_point):
             mults = [cycle_multiplier(s, pts) for pts in rotations]
             assert max(mults) - min(mults) < 1e-9 * max(1.0, max(mults))
 
+
+
+def _reference_walk(succ):
+    """The partition as it was computed before the single walk: every
+    point walked to its first repeat, cycles deduplicated as sorted
+    tuples.  Gives (iterate-out indices, cycles, lead-ins per cycle)."""
+    n = len(succ)
+    reaches = [None] * n
+    iterate_out, cycles = [], []
+
+    def cycle_of(start):
+        path, seen, cur = [start], {start: 0}, start
+        for _ in range(n + 1):
+            nxt = succ[cur]
+            if nxt is None:
+                return None
+            if nxt in seen:
+                return tuple(path[seen[nxt]:])
+            seen[nxt] = len(path)
+            path.append(nxt)
+            cur = nxt
+        raise AssertionError("orbit walk exceeded the pigeonhole bound")
+
+    for i in range(n):
+        cyc = cycle_of(i)
+        if cyc is None:
+            iterate_out.append(i)
+        else:
+            reaches[i] = cyc
+            if sorted(cyc) not in [sorted(c) for c in cycles]:
+                cycles.append(cyc)
+    lead_ins = [tuple(i for i in range(n) if reaches[i] is not None
+                      and sorted(reaches[i]) == sorted(c) and i not in c)
+                for c in cycles]
+    return iterate_out, cycles, lead_ins
+
+
+def _successor_symbol(succ):
+    """Boundary data on the n-th roots of unity: point k maps to point
+    succ[k], or half a step past itself (off the set) for None.  Every
+    |phi'| is n^2 + 2, so each cycle repels, and the Denjoy-Wolff point
+    is 0."""
+    n = len(succ)
+    zeta = [cmath.exp(2j * math.pi * k / n) for k in range(n)]
+    pts = []
+    for k, j in enumerate(succ):
+        w = cmath.exp(2j * math.pi * (k + 0.5) / n) if j is None else zeta[j]
+        pts.append(SecondOrderData(zeta[k], w, (n * n + 2) * w / zeta[k], 0))
+    return BoundaryDataSymbol(
+        tuple(pts), DenjoyWolffRecord(0, 0, Location.INTERIOR))
+
+
+_successor_maps = st.integers(1, 64).flatmap(lambda n: st.lists(
+    st.integers(-1, n - 1).map(lambda j: None if j < 0 else j),
+    min_size=n, max_size=n))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_successor_maps)
+def test_partition_matches_the_reference_walk(succ):
+    a = analyze(_successor_symbol(succ))
+    pts = [p.zeta for p in a.boundary.points]
+    part = partition(a)
+    iterate_out, cycles, lead_ins = _reference_walk(succ)
+    assert part.iterate_out == tuple(pts[i] for i in iterate_out)
+    assert [c.points for c in part.cycles] == \
+        [tuple(pts[i] for i in c) for c in cycles]
+    assert part.lead_ins == {k: tuple(pts[i] for i in v)
+                             for k, v in enumerate(lead_ins)}
+    for c, ref in zip(part.cycles, cycles):
+        assert c.multiplier == cycle_multiplier(a, c.points)
+        assert c.multiplier == cycle_multiplier(a, [pts[i] for i in ref])
+
+
+def test_partition_of_64_contacts_onto_one_fixed_point():
+    # z^64 / (2 - z^64) maps each 64th root of unity to 1, which is
+    # fixed with phi'(1) = 128
+    num, den = [0.0] * 65, [0.0] * 65
+    num[64], den[0], den[64] = 1.0, 2.0, -1.0
+    s = RationalSymbol(tuple(num), tuple(den))
+    part = partition(s)
+    assert part.iterate_out == ()
+    cycle, = part.cycles
+    assert cycle.points == (pytest.approx(1.0, abs=1e-12),)
+    assert cycle.multiplier == pytest.approx(128.0, rel=1e-12)
+    assert cycle.multiplier == cycle_multiplier(s, cycle.points)
+    assert len(part.lead_ins[0]) == 63

@@ -27,17 +27,22 @@ symbol documents is built once, from this checkout's
 * the compact maps phi(z) = lam z for lam in {0.5, -0.9, 0.999, 0.9i,
   0.99 e^{0.7i}}, whose spectra are the geometric tail of lam: their
   SVGs compare the tail's boxes, and ``truncate`` checks that the
-  truncation's eigenvalues, the powers of lam, lie on the tail.
+  truncation's eigenvalues, the powers of lam, lie on the tail;
+* two boundary-data documents with an empty contact set: one with the
+  interior Denjoy-Wolff point 0.3 and phi'(0.3) = 0.5 (a compact
+  operator), one with a boundary Denjoy-Wolff record, which names a
+  point the document does not declare.
 
 For each tree a worker process imports ``compspec`` from the tree's
 ``src/`` and calls ``compspec.cli.main`` in-process for
 ``analyze --out --svg``, ``classify``, ``boundary`` and ``spectrum`` on
-every document, and ``truncate --order 32 --out`` on every rational one
-(so its ``distances`` are compared), in the same working-directory
-layout.  It also runs a ``lemma-check --out`` battery: the benchmark's
-suites (``perfbench/run.py`` ``LEMMA_SUITES``, at its trials per
-request), rsm with n = 5 at orders 11, 17 and 23, where the order is
-not divisible by n, and rsm with n = 8 at order 40, where some products
+every document, ``render --svg`` on every report that ``analyze``
+writes, and ``truncate --order 32 --out`` on every rational one (so its
+``distances`` are compared), in the same working-directory layout.  It
+also runs a ``lemma-check --out`` battery: the benchmark's suites
+(``perfbench/run.py`` ``LEMMA_SUITES``, at its trials per request),
+rsm with n = 5 at orders 11, 17 and 23, where the order is not
+divisible by n, and rsm with n = 8 at order 40, where some products
 have genuine eigenvalues below their matching tolerance, each at master
 seeds 0-3.  Every difference in exit code, stdout, stderr, report bytes
 or SVG bytes is printed (an uncaught exception counts as exit 1, with
@@ -138,6 +143,11 @@ def battery() -> dict[str, dict]:
             docs[f"bump{k}-{a}"] = gen.bump(k, 1.0 + a)[0]
     for i, lam in enumerate(TAIL_BASES):
         docs[f"tail{i}"] = _rational((0, lam), (1,))
+    for location, omega in (("interior", [0.3, 0]), ("boundary", [1, 0])):
+        docs[f"empty-points-{location}"] = {
+            "kind": "boundary-data", "points": [],
+            "denjoy_wolff": {"omega": omega, "derivative": [0.5, 0],
+                             "location": location}}
     return docs
 
 
@@ -200,6 +210,13 @@ def worker(docdir: Path, result: Path) -> None:
             if cmd == "analyze":
                 argv += ["--out", "report.json", "--svg", "fig.svg"]
             runs[cmd] = _run(main, argv)
+        report = runs["analyze"][3]
+        if report is not None:
+            # render draws its SVG from the report analyze wrote
+            Path("analyzed.json").write_text(report, encoding="utf-8")
+            runs["render"] = _run(main, ["render", "analyzed.json",
+                                         "--svg", "fig.svg"])
+            Path("analyzed.json").unlink()
         if json.loads(doc.read_text(encoding="utf-8"))["kind"] == "rational":
             runs["truncate"] = _run(main, ["truncate", str(doc)] + TRUNCATE)
         answers[doc.stem] = runs
@@ -224,10 +241,12 @@ FIELDS = ("exit code", "stdout", "stderr", "report bytes", "SVG bytes")
 
 def compare(parent: dict, change: dict) -> list[str]:
     diffs = []
+    missing = [None] * len(FIELDS)   # a run that one tree did not make
     for name in sorted(parent):
-        for cmd in parent[name]:
-            for field, a, b in zip(FIELDS, parent[name][cmd],
-                                   change[name][cmd]):
+        for cmd in sorted(parent[name].keys() | change[name].keys()):
+            for field, a, b in zip(FIELDS,
+                                   parent[name].get(cmd, missing),
+                                   change[name].get(cmd, missing)):
                 if a != b:
                     diffs.append(f"{name} {cmd}: {field} differ "
                                  f"({_brief(a)} -> {_brief(b)})")
