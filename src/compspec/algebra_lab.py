@@ -4,7 +4,12 @@ Structured random families of square complex matrices are built so that
 a declared pattern of pairwise products vanishes exactly (block support
 construction, then one well-conditioned similarity applied to the whole
 family, which preserves all products and spectra).  A dense eigenvalue
-oracle then verifies the spectral statements.
+oracle then verifies the spectral statements.  The seven lemma names
+check three statements: the spectrum of the sum lies in the union of
+the summands' spectra (fl, flc); its nonzero part equals their nonzero
+union (ta, cta, and lip, whose lead-in summand is square-zero); and
+the cyclic root spectral mapping (rsm, and n2c, the square-zero pair,
+as its n = 2 case).
 
 A similarity candidate S is accepted when cond_2(S) < 100.  Every
 candidate is inverted first, and ||S||_F ||S^-1||_F bounds cond_2(S)
@@ -59,7 +64,6 @@ SIMILARITY_DRAWS = 50
 class Pattern(str, enum.Enum):
     ONE_WAY = "one_way"              # a_i a_j = 0 for i < j
     TWO_SIDED = "two_sided"          # a_i a_j = a_j a_i = 0 for i != j
-    NILPOTENT_PAIR = "nilpotent_pair"  # a_1^2 = a_2^2 = 0
     LEAD_IN = "lead_in"              # a_1 a_2 = 0 and a_2^2 = 0
     CYCLIC = "cyclic"                # a_j a_k = 0 unless k = (j+1) mod n
 
@@ -89,8 +93,6 @@ def _required_zero_pairs(pattern: Pattern, n: int):
         return [(i, j) for i in range(n) for j in range(i + 1, n)]
     if pattern is Pattern.TWO_SIDED:
         return [(i, j) for i in range(n) for j in range(n) if i != j]
-    if pattern is Pattern.NILPOTENT_PAIR:
-        return [(0, 0), (1, 1)]
     if pattern is Pattern.LEAD_IN:
         return [(0, 1), (1, 1)]
     if pattern is Pattern.CYCLIC:
@@ -112,8 +114,6 @@ def _supports(pattern: Pattern, n: int):
         return [(j, [j] if j == n - 1 else [j, j + 1]) for j in range(n)], n
     if pattern is Pattern.TWO_SIDED:
         return [(j, [j]) for j in range(n)], n
-    if pattern is Pattern.NILPOTENT_PAIR:
-        return [(0, [1]), (1, [0])], 2
     if pattern is Pattern.LEAD_IN:
         return [(0, [0, 1]), (1, [2])], 3
     if pattern is Pattern.CYCLIC:
@@ -166,7 +166,7 @@ def _make_stack(pattern: Pattern | str, n: int, order: int, seeds):
     are validated before any order-sized array exists.
     """
     pattern = Pattern(pattern)
-    if pattern in (Pattern.NILPOTENT_PAIR, Pattern.LEAD_IN) and n != 2:
+    if pattern is Pattern.LEAD_IN and n != 2:
         raise InvalidDataError(f"{pattern.value} is a two-element pattern")
     if n < 2:
         raise InvalidDataError("need at least two matrices")
@@ -269,7 +269,9 @@ def _match(a: np.ndarray, b: np.ndarray, tol: np.ndarray) -> np.ndarray:
 # blocks) of _make_stack, to one verdict per trial.  Sums are solved
 # densely from the conjugated matrices, summands and products on their
 # nonzero columns from the blocks; tolerances are scaled by the
-# conjugated matrices
+# conjugated matrices.  Three statements cover the seven lemmas:
+# inclusion in the union (fl, flc), equality of nonzero spectra (ta,
+# cta, lip) and the cyclic root spectral mapping (rsm, n2c)
 # ----------------------------------------------------------------------
 
 def _block_spectra(blocks: np.ndarray, length: int = 1) -> np.ndarray:
@@ -313,33 +315,12 @@ def _union_flc(mats: np.ndarray, blocks: np.ndarray) -> np.ndarray:
 
 
 def _equality_cta(mats: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """Nonzero spectrum of the sum equals the nonzero union."""
+    """Nonzero spectrum of the sum equals the nonzero union.  On a
+    lead-in family (lip) a_2 is zero on its own columns, so it adds
+    only 0 and the union is the nonzero spectrum of a_1."""
     tol = _scaled_tol(mats)
     total, union = _sum_and_parts(mats, blocks)
     return _match(_nonzero(total, tol), _nonzero(union, tol), tol)
-
-
-def _lip(mats: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """a_1 a_2 = 0 and a_2^2 = 0: the nilpotent lead-in summand drops
-    out of the nonzero spectrum."""
-    tol = _scaled_tol(mats)
-    total = _nonzero(eigenvalues(mats[:, 0] + mats[:, 1]), tol)
-    return _match(total, _nonzero(_block_spectra(blocks[:, :1])[:, 0], tol),
-                  tol)
-
-
-def _n2c(mats: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """For a square-zero pair, nonzero lambda in sigma(a_1 + a_2) iff
-    lambda^2 in sigma(a_1 a_2) iff lambda^2 in sigma(a_2 a_1); the last
-    equivalence also witnesses Jacobson's lemma."""
-    a1, a2 = mats[:, 0], mats[:, 1]
-    tol = _scaled_tol(mats)
-    sq = _nonzero(eigenvalues(a1 + a2), tol) ** 2
-    prods = _nonzero(_block_spectra(blocks, 2), tol)
-    s12, s21 = prods[:, 0], prods[:, 1]
-    tol2 = _scaled_tol((a1 @ a2)[:, None])
-    return (_match(sq, s12, tol2) & _match(sq, s21, tol2)
-            & _match(s12, s21, tol2))
 
 
 def _cyclic_product(mats: np.ndarray, k: int) -> np.ndarray:
@@ -354,7 +335,9 @@ def _cyclic_product(mats: np.ndarray, k: int) -> np.ndarray:
 def _rsm(mats: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """Cyclic pattern: nonzero sigma(sum a_j) = {lambda: lambda^n in
     sigma(prod a_j)}, with rotation invariance and the cyclic-shift
-    (Jacobson) variants of the product."""
+    (Jacobson) variants of the product.  At n = 2 the family is a
+    square-zero pair (n2c): nonzero lambda in sigma(a_1 + a_2) iff
+    lambda^2 in sigma(a_1 a_2) iff lambda^2 in sigma(a_2 a_1)."""
     n = mats.shape[1]
     tol = _scaled_tol(mats)
     tolp = _scaled_tol(_cyclic_product(mats, 0)[:, None])
@@ -395,8 +378,8 @@ _CHECKERS = {
     "flc": (Pattern.ONE_WAY, _union_flc, None),
     "ta": (Pattern.TWO_SIDED, _equality_cta, 2),
     "cta": (Pattern.TWO_SIDED, _equality_cta, None),
-    "lip": (Pattern.LEAD_IN, _lip, 2),
-    "n2c": (Pattern.NILPOTENT_PAIR, _n2c, 2),
+    "lip": (Pattern.LEAD_IN, _equality_cta, 2),
+    "n2c": (Pattern.CYCLIC, _rsm, 2),
     "rsm": (Pattern.CYCLIC, _rsm, None),
 }
 

@@ -265,13 +265,6 @@ def region_equal(a: SpectralRegion, b: SpectralRegion,
 # Theorem dispatch for linear-fractional symbols
 # ----------------------------------------------------------------------
 
-def _eigenvalue_tail(base: complex):
-    """{base^k: k >= 0} u {0}: degenerates to {0, 1} when base = 0."""
-    if abs(base) <= EPS:
-        return Points((0.0 + 0.0j, 1.0 + 0.0j))
-    return GeometricTail(base)
-
-
 def lft_spectra(psi: MobiusMap):
     """(full, essential) spectra of the composition operator with a
     non-automorphic linear-fractional symbol."""
@@ -285,24 +278,18 @@ def lft_spectra(psi: MobiusMap):
     interior = [p for p in finite if abs(p) < 1.0 - 1e-7]
     interior_dw = [p for p in interior if abs(derivative(psi, p)) < 1.0 - EPS]
     if interior_dw:
-        omega = interior_dw[0]
-        lam = derivative(psi, omega)
         if not boundary:
             # compact or power-compact
+            lam = derivative(psi, interior_dw[0])
             essential = region(Points((0.0 + 0.0j,)))
-            full = region(_eigenvalue_tail(lam), Points((0.0 + 0.0j,)))
+            full = region(GeometricTail(lam), Points((0.0 + 0.0j,)))
             return full, essential
-        zeta0 = boundary[0]
-        dz = derivative(psi, zeta0).real
-        radius = 1.0 / math.sqrt(dz)
+        # the two fixed points' multipliers are reciprocal, so
+        # |psi'(omega)| = radius^2 < radius: of its powers only the
+        # zeroth, 1, lies outside the disk
+        radius = 1.0 / math.sqrt(derivative(psi, boundary[0]).real)
         essential = region(Disk(radius))
-        pts = [1.0 + 0.0j]
-        if abs(lam) > EPS:
-            w = lam
-            while abs(w) > radius + EPS:
-                pts.append(w)
-                w *= lam
-        full = region(Disk(radius), Points(tuple(pts)))
+        full = region(Disk(radius), Points((1.0 + 0.0j,)))
         return full, essential
     if not boundary:
         raise InvalidDataError("no Denjoy-Wolff candidate found")
@@ -377,13 +364,13 @@ def synthesize(s: Symbol | Analysis) -> SpectrumReport:
     if tclass is TypeClass.PARABOLIC_AUTOMORPHISM:
         raise InvalidDataError(
             "parabolic automorphism-type symbol is outside the synthesis "
-            "theorems (and cannot be order-2 certified)")
+            "theorems")
 
     if not part.cycles:
         # compact (empty contact set) or power-compact (all iterate-out)
         lam = dw.derivative
         essential = region(Points((0.0 + 0.0j,)))
-        full = region(_eigenvalue_tail(lam), Points((0.0 + 0.0j,)))
+        full = region(GeometricTail(lam), Points((0.0 + 0.0j,)))
         notes.append("compact" if not part.all_points else
                      "power-compact: all contact points iterate out")
         return SpectrumReport(essential, full, 0.0, tclass, part, dw,

@@ -157,6 +157,60 @@ def test_compact_boundary_data_document(tmp_path):
     assert report["full"] == [{"tail": [0.5, 0.0]}]
 
 
+def test_parabolic_automorphism_document(tmp_path, capsys):
+    # omega = 1 with phi'(1) = 1 - 9e-10, parabolic within EPS, and
+    # omega phi''(1) = 9e-10 + 3i, pure imaginary within EPS: the
+    # parabolic automorphism class, outside the synthesis theorems,
+    # although the point still has order-2 contact (margin 1.8e-9)
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({
+        "kind": "boundary-data",
+        "points": [{"zeta": [1, 0], "value": [1, 0],
+                    "d1": [1 - 9e-10, 0], "d2": [9e-10, 3]}],
+        "denjoy_wolff": {"omega": [1, 0], "derivative": [1 - 9e-10, 0],
+                         "location": "boundary"}}))
+    assert run(["classify", doc]) == 0
+    classified = json.loads(capsys.readouterr().out)
+    assert classified["type_class"] == "parabolic-automorphism"
+    assert run(["boundary", doc]) == 0
+    cert = json.loads(capsys.readouterr().out)["certification"]
+    assert cert["accepted"]
+    assert cert["checks"][0]["margin"] == pytest.approx(1.8e-9, rel=1e-6)
+    for command in ("analyze", "spectrum"):
+        out = tmp_path / "report.json"
+        assert run([command, doc, "--out", out]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert json.loads(err[-1])["error"] == (
+            "parabolic automorphism-type symbol is outside the synthesis "
+            "theorems")
+
+
+def test_attracting_boundary_cycle_is_a_hard_error(tmp_path, capsys):
+    # the 2-cycle 1 <-> -1 with |phi'| = 0.5 at each point has
+    # multiplier 0.25: it would attract, which only the Denjoy-Wolff
+    # point may.  classify and boundary still accept this document,
+    # which no self-map can have, because nothing checks the declared
+    # data for consistency yet (the boundary Pick matrix test that
+    # ROADMAP.md plans); this test asserts nothing about them
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({
+        "kind": "boundary-data",
+        "points": [{"zeta": [1, 0], "value": [-1, 0],
+                    "d1": [-0.5, 0], "d2": [0, 0]},
+                   {"zeta": [-1, 0], "value": [1, 0],
+                    "d1": [-0.5, 0], "d2": [0, 0]}],
+        "denjoy_wolff": {"omega": [0, 0], "derivative": [0.5, 0],
+                         "location": "interior"}}))
+    for command in ("analyze", "spectrum"):
+        out = tmp_path / "report.json"
+        assert run([command, doc, "--out", out]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert "cycle of length 2 with multiplier 0.25" in (
+            json.loads(err[-1])["error"])
+
+
 @pytest.mark.parametrize("command,doc", [
     ("truncate", {"kind": "rational", "den": [[1, 0]]}),
     ("truncate", [1, 2]),

@@ -13,6 +13,8 @@ from compspec import (Disk, GeometricTail, MobiusMap, Points, Spiral,
                       region_equal, rho, rho_star, spectral_radius_check,
                       synthesize)
 from compspec.config import EPS
+from compspec.mobius import (SecondOrderData, derivative, fixed_points,
+                             lfm_from_data)
 from compspec.errors import InvalidDataError, NotCertifiedError
 from compspec.spectrum import distance
 from conftest import ROOT12
@@ -339,6 +341,30 @@ def test_lft_compact():
     assert contains(full, 1.0) and contains(full, 0.0)
 
 
+def test_lft_dilation_has_no_eigenvalue_power_outside_the_disk():
+    # a repelling boundary fixed point zeta with psi'(zeta) = d1 > 1 and
+    # an attracting interior one omega: the multipliers are reciprocal,
+    # so |psi'(omega)| = 1/d1 is below the disk radius 1/sqrt(d1), and 1
+    # is the only eigenvalue the full spectrum adds
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        zeta = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        d1 = 10.0 ** rng.uniform(0.02, 2)
+        aligned = complex(d1 * (d1 - 1) + 10.0 ** rng.uniform(-2, 0.7),
+                          rng.uniform(-5, 5))
+        psi = lfm_from_data(SecondOrderData(zeta, zeta, d1,
+                                            zeta.conjugate() * aligned))
+        omega = max(fixed_points(psi), key=lambda p: abs(p - zeta))
+        assert abs(omega) < 1 - 1e-7
+        lam = derivative(psi, omega)
+        assert abs(lam * derivative(psi, zeta) - 1) <= 1e-10
+        radius = d1 ** -0.5
+        assert abs(lam) < radius
+        full, ess = lft_spectra(psi)
+        assert region_equal(ess, region(Disk(radius)))
+        assert region_equal(full, region(Disk(radius), Points((1.0,))))
+
+
 def test_lft_hyperbolic_boundary_dw():
     # z -> (z + 1)/2 fixes 1 with derivative 1/2 and has no other
     # fixed point in the closed disk
@@ -415,6 +441,15 @@ def test_synthesize_compact(compact_half):
     rep = synthesize(compact_half)
     assert region_equal(rep.essential, region(Points((0j,))))
     assert region_equal(rep.full, region(GeometricTail(0.5)))
+
+
+def test_synthesize_superattracting_compact():
+    # phi(z) = z^2/2 has no boundary contact and phi'(0) = 0: the tail
+    # of the powers of 0 is {0, 1}
+    from compspec import RationalSymbol
+    rep = synthesize(RationalSymbol((0, 0, 0.5), (1,)))
+    assert rep.essential == region(Points((0j,)))
+    assert rep.full.primitives == (Points((0j, 1 + 0j)),)
 
 
 def test_synthesize_dilation_eigenvalue_powers():

@@ -31,7 +31,14 @@ symbol documents is built once, from this checkout's
 * two boundary-data documents with an empty contact set: one with the
   interior Denjoy-Wolff point 0.3 and phi'(0.3) = 0.5 (a compact
   operator), one with a boundary Denjoy-Wolff record, which names a
-  point the document does not declare.
+  point the document does not declare;
+* the compact map phi(z) = z^2/2, whose tail base phi'(0) = 0 makes
+  the full spectrum {0, 1};
+* a boundary-data parabolic-automorphism document (omega = 1,
+  phi'(1) = 1 - 9e-10, phi''(1) = 9e-10 + 3i), which is order-2
+  certified but outside the synthesis theorems;
+* a boundary-data 2-cycle 1 <-> -1 with |phi'| = 0.5 at each point,
+  an attracting cycle that the orbit partition rejects.
 
 For each tree a worker process imports ``compspec`` from the tree's
 ``src/`` and calls ``compspec.cli.main`` in-process for
@@ -148,6 +155,21 @@ def battery() -> dict[str, dict]:
             "kind": "boundary-data", "points": [],
             "denjoy_wolff": {"omega": omega, "derivative": [0.5, 0],
                              "location": location}}
+    docs["superattracting"] = _rational((0, 0, 0.5), (1,))
+    docs["parabolic-automorphism"] = {
+        "kind": "boundary-data",
+        "points": [{"zeta": [1, 0], "value": [1, 0],
+                    "d1": [1 - 9e-10, 0], "d2": [9e-10, 3]}],
+        "denjoy_wolff": {"omega": [1, 0], "derivative": [1 - 9e-10, 0],
+                         "location": "boundary"}}
+    docs["attracting-2-cycle"] = {
+        "kind": "boundary-data",
+        "points": [{"zeta": [1, 0], "value": [-1, 0],
+                    "d1": [-0.5, 0], "d2": [0, 0]},
+                   {"zeta": [-1, 0], "value": [1, 0],
+                    "d1": [-0.5, 0], "d2": [0, 0]}],
+        "denjoy_wolff": {"omega": [0, 0], "derivative": [0.5, 0],
+                         "location": "interior"}}
     return docs
 
 
