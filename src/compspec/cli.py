@@ -24,6 +24,11 @@ pure-Python encoder, the one it falls back to whenever ``indent`` is set.
 reused for the rest of the process, so it can be called repeatedly
 in-process at the cost of ``parse_args`` alone.
 
+Each subcommand loads its layer on its first call: this module imports
+only the stdlib, ``config`` and ``errors``, so ``lemma-check`` loads
+:mod:`compspec.algebra_lab` alone and the symbol subcommands never load
+it.
+
 There are no tolerance flags: the thresholds ``EPS`` = 1e-9 and
 ``MATCH_TOL`` = 1e-7 of :mod:`compspec.config` are what an answer is
 certified against, so they are fixed.
@@ -41,17 +46,14 @@ import json
 import math
 import sys
 from json.encoder import encode_basestring_ascii as _quote
+from typing import TYPE_CHECKING
 
-from .algebra_lab import (eigenvalues, family_size, run_checker,
-                          truncation_from_coeffs)
 from .config import EPS
 from .errors import CompspecError, NotCertifiedError, NotInScopeError
-from .mobius import SecondOrderData
-from .render import write_svg
-from .spectrum import (Disk, GeometricTail, Points, Spiral, SpectralRegion,
-                       distance, region, synthesize)
-from .symbol import (Analysis, BoundaryDataSymbol, DenjoyWolffRecord,
-                     Location, RationalSymbol, analyze, essential_norm_sq)
+
+if TYPE_CHECKING:
+    from .spectrum import SpectralRegion
+    from .symbol import Analysis, DenjoyWolffRecord
 
 SCHEMA = "compspec/1"
 
@@ -100,6 +102,9 @@ def _parse_coeffs(doc: dict, key: str) -> tuple:
 
 
 def _parse_symbol(doc):
+    from .mobius import SecondOrderData
+    from .symbol import (BoundaryDataSymbol, DenjoyWolffRecord, Location,
+                         RationalSymbol)
     if not isinstance(doc, dict):
         raise CompspecError("document root must be a JSON object")
     kind = doc.get("kind")
@@ -133,6 +138,7 @@ def _parse_symbol(doc):
 
 
 def _primitive_json(p) -> dict:
+    from .spectrum import Disk, GeometricTail, Points, Spiral
     if isinstance(p, Disk):
         return {"disk": p.radius}
     if isinstance(p, Spiral):
@@ -149,6 +155,7 @@ def _region_json(r: SpectralRegion) -> list:
 
 
 def _region_from_json(prims: list) -> SpectralRegion:
+    from .spectrum import Disk, GeometricTail, Points, Spiral, region
     out = []
     for i, p in enumerate(prims):
         if not isinstance(p, dict) or len(p) != 1:
@@ -303,6 +310,7 @@ def _project(args) -> int:
 
     Out-of-scope and uncertified symbols are rejected with exit 2; the
     rejection carries the certificate once the reduction has it."""
+    from .symbol import analyze
     doc = _load_doc(args.input)
     a = None
     try:
@@ -314,11 +322,14 @@ def _project(args) -> int:
         return EXIT_REJECTED
     _emit(out, args.out)
     if getattr(args, "svg", None):
+        from .render import write_svg
         write_svg(full, args.svg)
     return EXIT_OK
 
 
 def _full_report(doc, a: Analysis) -> tuple:
+    from .spectrum import synthesize
+    from .symbol import essential_norm_sq
     report = synthesize(a)
     return {
         "schema": SCHEMA,
@@ -337,6 +348,7 @@ def _full_report(doc, a: Analysis) -> tuple:
 
 
 def _spectrum(doc, a: Analysis) -> tuple:
+    from .spectrum import synthesize
     report = synthesize(a)
     return {"schema": SCHEMA, "accepted": True, "rho": report.rho,
             "essential": _region_json(report.essential),
@@ -359,6 +371,7 @@ def _boundary(doc, a: Analysis) -> tuple:
 
 
 def cmd_lemma_check(args) -> int:
+    from .algebra_lab import family_size, run_checker
     n = family_size(args.lemma, args.n)
     ok, failing = run_checker(args.lemma, n, args.order, args.trials,
                               args.seed)
@@ -370,6 +383,9 @@ def cmd_lemma_check(args) -> int:
 
 
 def cmd_truncate(args) -> int:
+    from .algebra_lab import eigenvalues, truncation_from_coeffs
+    from .spectrum import distance, synthesize
+    from .symbol import RationalSymbol
     doc = _load_doc(args.input)
     if not isinstance(doc, dict) or doc.get("kind") != "rational":
         raise CompspecError("truncate needs a rational symbol document")
@@ -390,6 +406,7 @@ def cmd_truncate(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from .render import write_svg
     doc = _load_doc(args.input)
     if not isinstance(doc, dict):
         raise CompspecError("report root must be a JSON object")

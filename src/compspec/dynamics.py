@@ -4,8 +4,11 @@ Each contact point either iterates out of the contact set within n steps
 (n = number of contact points), or is eventually periodic.  The contact
 set therefore splits into iterate-out points, disjoint cycles, and
 lead-in sets, one per cycle, which :func:`partition` finds in one walk
-along the successor indices.  Cycle multipliers come from the chain rule
-over the cycle's own data, never from composing the symbol with itself.
+along the successor indices of a boundary-data symbol.
+:func:`compspec.symbol.analyze` makes that walk once per symbol and
+keeps its result, so every other caller reads the analysis.  Cycle
+multipliers come from the chain rule over the cycle's own data, never
+from composing the symbol with itself.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from dataclasses import dataclass
 
 from .config import EPS, MATCH_TOL
 from .errors import InvalidDataError
-from .symbol import Analysis, Symbol, analyze, second_order_data
+from .symbol import (Analysis, BoundaryDataSymbol, Symbol, analyze,
+                     second_order_data)
 
 __all__ = ["Cycle", "OrbitPartition", "partition", "cycle_multiplier"]
 
@@ -62,10 +66,13 @@ def cycle_multiplier(s: Symbol | Analysis, points) -> float:
 
 
 def partition(s: Symbol | Analysis) -> OrbitPartition:
+    """The orbit partition of the contact set.  A boundary-data symbol
+    is walked here; any other symbol is read off its analysis."""
+    if not isinstance(s, BoundaryDataSymbol):
+        return analyze(s).partition
     # matching needs the contact points more than 10x MATCH_TOL apart,
     # which BoundaryDataSymbol enforces
-    a = analyze(s)
-    data = a.boundary.points
+    data = s.points
     points = [p.zeta for p in data]
     n = len(points)
     succ = [_match(points, p.value) for p in data]

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import EPS, MATCH_TOL
-from .dynamics import OrbitPartition, partition
+from .dynamics import OrbitPartition
 from .errors import InvalidDataError, NotCertifiedError
 from .mobius import (MobiusMap, _finite, derivative, fixed_points,
                      is_disk_automorphism, lfm_from_data, second_derivative,
@@ -358,7 +358,7 @@ def synthesize(s: Symbol | Analysis) -> SpectrumReport:
         raise NotCertifiedError(
             f"symbol fails order-2 certification at {[c.zeta for c in cert.failing]}")
     dw = a.boundary.denjoy_wolff
-    part = partition(a)
+    part = a.partition
     notes = []
     tclass = a.type_class
     if tclass is TypeClass.PARABOLIC_AUTOMORPHISM:
@@ -434,7 +434,7 @@ def kms2t_essential_union(s: Symbol | Analysis) -> SpectralRegion:
     a = analyze(s)
     if not a.certificate.accepted:
         raise NotCertifiedError("symbol fails order-2 certification")
-    part = partition(a)
+    part = a.partition
     ok = (not part.iterate_out
           and all(c.length == 1 for c in part.cycles)
           and all(not v for v in part.lead_ins.values())

@@ -8,9 +8,10 @@ Denjoy-Wolff record; it is the entry path for non-rational maps.
 
 The synthesis reads only boundary data, so :func:`analyze` reduces a
 symbol of either kind, once, to an :class:`Analysis`: a boundary-data
-symbol and its order-2 certificate.  It is the one place that knows the
-kind.  Every other public function accepts either kind or an analysis
-and reduces it once at entry.
+symbol, its order-2 certificate and the orbit partition of its contact
+set.  It is the one place that knows the kind, and the one scope
+verdict every projection shares.  Every other public function accepts
+either kind or an analysis and reduces it once at entry.
 
 The self-map test and the contact set of a rational symbol are read off
 the circle critical points of T = |N|^2 - |D|^2: the circle roots of
@@ -36,7 +37,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -44,6 +45,9 @@ from numpy.polynomial import polynomial as P
 from .config import EPS, MATCH_TOL
 from .errors import (InvalidDataError, NotInScopeError, RootFindingError)
 from .mobius import SecondOrderData, _finite
+
+if TYPE_CHECKING:
+    from .dynamics import OrbitPartition
 
 __all__ = [
     "RationalSymbol", "BoundaryDataSymbol", "Symbol",
@@ -343,6 +347,7 @@ class Analysis:
 
     boundary: BoundaryDataSymbol
     certificate: S2Certificate
+    partition: OrbitPartition
 
     @property
     def type_class(self) -> TypeClass:
@@ -353,25 +358,30 @@ class Analysis:
 
 
 def analyze(s: Symbol | Analysis) -> Analysis:
-    """Reduce a symbol to its boundary data and order-2 certificate.
+    """Reduce a symbol to its boundary data, order-2 certificate and
+    orbit partition.
 
     For a rational symbol this finds the contact points, the
     second-order data at each of them and the Denjoy-Wolff point, each
-    exactly once.  An analysis is returned unchanged."""
+    exactly once.  The partition's walk refuses an attracting boundary
+    cycle, so no projection of the analysis accepts one.  An analysis
+    is returned unchanged."""
     if isinstance(s, Analysis):
         return s
+    from .dynamics import partition   # dynamics imports this module
     if isinstance(s, BoundaryDataSymbol):
         return Analysis(s, _certificate(
             s.points, [1] * len(s.points),
-            "conditions (i), (ii), (iv): declared by the boundary-data record"))
+            "conditions (i), (ii), (iv): declared by the boundary-data record"),
+            partition(s))
     contacts = contact_points(s)
     points = tuple(_data_at(s, cp.zeta) for cp in contacts)
     certificate = _certificate(
         points, [cp.multiplicity for cp in contacts],
         "conditions (i), (ii), (iv): automatic for a rational symbol "
         "analytic on the closed disk")
-    dw = _rational_denjoy_wolff(s, points)
-    return Analysis(BoundaryDataSymbol(points, dw), certificate)
+    boundary = BoundaryDataSymbol(points, _rational_denjoy_wolff(s, points))
+    return Analysis(boundary, certificate, partition(boundary))
 
 
 def _polish_contact(s: RationalSymbol, theta0: float) -> float:

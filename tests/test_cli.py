@@ -189,10 +189,8 @@ def test_parabolic_automorphism_document(tmp_path, capsys):
 def test_attracting_boundary_cycle_is_a_hard_error(tmp_path, capsys):
     # the 2-cycle 1 <-> -1 with |phi'| = 0.5 at each point has
     # multiplier 0.25: it would attract, which only the Denjoy-Wolff
-    # point may.  classify and boundary still accept this document,
-    # which no self-map can have, because nothing checks the declared
-    # data for consistency yet (the boundary Pick matrix test that
-    # ROADMAP.md plans); this test asserts nothing about them
+    # point may.  The reduction walks the orbit partition, so all four
+    # projections refuse the document
     doc = tmp_path / "doc.json"
     doc.write_text(json.dumps({
         "kind": "boundary-data",
@@ -202,7 +200,7 @@ def test_attracting_boundary_cycle_is_a_hard_error(tmp_path, capsys):
                     "d1": [-0.5, 0], "d2": [0, 0]}],
         "denjoy_wolff": {"omega": [0, 0], "derivative": [0.5, 0],
                          "location": "interior"}}))
-    for command in ("analyze", "spectrum"):
+    for command in ("analyze", "spectrum", "classify", "boundary"):
         out = tmp_path / "report.json"
         assert run([command, doc, "--out", out]) == 1
         assert not out.exists()
