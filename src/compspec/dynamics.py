@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 from .config import EPS, MATCH_TOL
 from .errors import InvalidDataError
-from .symbol import (Analysis, BoundaryDataSymbol, Symbol, analyze,
-                     second_order_data)
+from .symbol import (Analysis, BoundaryDataSymbol, Location, Symbol,
+                     analyze, second_order_data)
 
 __all__ = ["Cycle", "OrbitPartition", "partition", "cycle_multiplier"]
 
@@ -67,7 +67,10 @@ def cycle_multiplier(s: Symbol | Analysis, points) -> float:
 
 def partition(s: Symbol | Analysis) -> OrbitPartition:
     """The orbit partition of the contact set.  A boundary-data symbol
-    is walked here; any other symbol is read off its analysis."""
+    is walked here; any other symbol is read off its analysis.  Data
+    that no self-map has is refused: a boundary cycle of length > 1 that
+    attracts, and, for a hyperbolic Denjoy-Wolff point omega, a cycle
+    that gives a larger rho than 1/sqrt(phi'(omega))."""
     if not isinstance(s, BoundaryDataSymbol):
         return analyze(s).partition
     # matching needs the contact points more than 10x MATCH_TOL apart,
@@ -105,5 +108,21 @@ def partition(s: Symbol | Analysis) -> OrbitPartition:
     lead_ins = {k: tuple(points[i] for i in range(n)
                          if fate[i] == k and i not in cyc)
                 for k, cyc in enumerate(cycles)}
-    return OrbitPartition(tuple(points[i] for i in range(n) if fate[i] == -1),
+    part = OrbitPartition(tuple(points[i] for i in range(n) if fate[i] == -1),
                           tuple(cycle_objs), lead_ins)
+    dw = s.denjoy_wolff
+    if dw.location is Location.BOUNDARY and dw.derivative.real < 1.0 - EPS:
+        # hyperbolic: the Denjoy-Wolff point's own cycle must give rho
+        r, r_cycles = 1.0 / math.sqrt(dw.derivative.real), rho(part)
+        if abs(r - r_cycles) > 1e-9 * max(1.0, r):
+            raise InvalidDataError(
+                f"cycle-derived rho {r_cycles} disagrees with "
+                f"1/sqrt(phi'(omega)) = {r}")
+    return part
+
+
+def rho(part: OrbitPartition) -> float:
+    """max over cycles of multiplier^(-1/(2 len))."""
+    if not part.cycles:
+        raise InvalidDataError("rho needs at least one cycle")
+    return max(c.multiplier ** (-1.0 / (2.0 * c.length)) for c in part.cycles)

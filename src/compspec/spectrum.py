@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import EPS, MATCH_TOL
-from .dynamics import OrbitPartition
+from .dynamics import OrbitPartition, rho
 from .errors import InvalidDataError, NotCertifiedError
 from .mobius import (MobiusMap, _finite, derivative, fixed_points,
                      is_disk_automorphism, lfm_from_data, second_derivative,
@@ -315,13 +315,6 @@ def lft_spectra(psi: MobiusMap):
 # rho and the synthesizers
 # ----------------------------------------------------------------------
 
-def rho(part: OrbitPartition) -> float:
-    """max over cycles of multiplier^(-1/(2 len))."""
-    if not part.cycles:
-        raise InvalidDataError("rho needs at least one cycle")
-    return max(c.multiplier ** (-1.0 / (2.0 * c.length)) for c in part.cycles)
-
-
 def rho_star(part: OrbitPartition, excluded_cycle: int) -> float:
     """rho over all cycles except the Denjoy-Wolff singleton; 0 if none
     remain."""
@@ -394,12 +387,8 @@ def synthesize(s: Symbol | Analysis) -> SpectrumReport:
                               tuple(notes))
 
     if tclass is TypeClass.HYPERBOLIC:
+        # the partition checked that the cycles give the same rho
         r = 1.0 / math.sqrt(dw.derivative.real)
-        r_cycles = rho(part)
-        if abs(r - r_cycles) > 1e-9 * max(1.0, r):
-            raise InvalidDataError(
-                f"cycle-derived rho {r_cycles} disagrees with "
-                f"1/sqrt(phi'(omega)) = {r}")
         both = region(Disk(r))
         notes.append("hyperbolic Denjoy-Wolff point: spectrum is the closed "
                      "disk of radius 1/sqrt(phi'(omega))")

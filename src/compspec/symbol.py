@@ -25,6 +25,13 @@ root of H, split by roundoff; its mean angle is the root to about
 roundoff, as the cluster's odd terms cancel.  Any other run is
 Newton-polished on d/dtheta |phi|^2 from its middle.
 
+Each polynomial root (of D, of H and of N - zD) comes from one
+companion-matrix solve at the polynomial's true degree: a polynomial
+whose nonzero coefficients sit at multiples of m > 1 is q(z^m), and its
+roots are the m-th roots of q's.  A symbol psi(z^k), the usual way to
+place k contact points, has D a polynomial in z^k and H one in z^2k,
+so the solves shrink by those factors.
+
 Scalar evaluation of phi, phi' and phi'' runs Horner's rule over Python
 complex coefficients: a numpy call per point costs more than its arithmetic.
 For the same reason the derivative numerators and G are formed with
@@ -124,10 +131,22 @@ def _reflection(n: np.ndarray, d: np.ndarray, deg: int) -> np.ndarray:
 
 
 def _roots(c: np.ndarray) -> np.ndarray:
-    """Companion-matrix roots of c; a failed solve is a typed error."""
+    """Companion-matrix roots of c; a failed solve is a typed error.
+
+    With m the gcd of the exponents of c's nonzero coefficients,
+    c(z) = q(z^m) for q = c[::m].  The companion solve is of q, at
+    degree deg c / m, and each root w of q gives its m m-th roots
+    |w|^(1/m) e^{i (arg w + 2 pi j) / m}, j = 0 ... m - 1: the
+    principal root w^(1/m) times each m-th root of unity.  A zero root
+    of q gives zeros, so its multiplicity is multiplied by m.  For
+    m <= 1 (c dense, constant or zero) this is ``P.polyroots(c)``."""
+    m = int(np.gcd.reduce(np.flatnonzero(c)))
     try:
         with np.errstate(all="ignore"):   # the result is checked below
-            roots = P.polyroots(c)
+            roots = P.polyroots(c[::m] if m > 1 else c)
+            if m > 1:
+                unity = np.exp(2j * np.pi * np.arange(m) / m)
+                roots = np.outer(roots ** (1.0 / m), unity).ravel()
         if np.all(np.isfinite(roots)):
             return roots
     except np.linalg.LinAlgError:
@@ -170,6 +189,9 @@ class RationalSymbol:
             roots = _roots(d)
             bad = roots[np.abs(roots) <= 1.0 + EPS]
             if bad.size:
+                # by angle, so the text does not depend on the solver
+                bad = bad[np.argsort(np.angle(bad) % (2.0 * np.pi),
+                                     kind="stable")]
                 raise InvalidDataError(
                     f"denominator roots in the closed disk: {bad}")
         deg = max(n.size, d.size) - 1

@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import pathlib
 
 import pytest
 
@@ -65,3 +67,13 @@ def nearest(points, target):
 
 
 ROOT12 = 1.0 / math.sqrt(12.0)
+
+
+def perfbench_gen():
+    """perfbench/gen.py, the benchmark's seeded symbol families, loaded
+    by path so that its directory stays off sys.path."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -12,11 +12,12 @@ import pytest
 
 import compspec.symbol
 from compspec.cli import build_parser, main
-from conftest import count_calls
+from conftest import count_calls, perfbench_gen
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 EXAMPLES = ["lollipop", "two_cycle", "eight_point", "square_root"]
+PROJECTIONS = ("analyze", "spectrum", "classify", "boundary")
 
 
 def run(args):
@@ -46,6 +47,40 @@ def _write_rational(path, num, den, theta=0.0):
     return path
 
 
+# boundary-data documents, by what each one tests
+_COMPACT = {
+    "kind": "boundary-data", "points": [],
+    "denjoy_wolff": {"omega": [0.3, 0], "derivative": [0.5, 0],
+                     "location": "interior"}}
+_UNCERTIFIED = {
+    "kind": "boundary-data",
+    "points": [{"zeta": [1, 0], "value": [1, 0], "d1": [2, 0], "d2": [0, 0]}],
+    "denjoy_wolff": {"omega": [0, 0], "derivative": [0.5, 0],
+                     "location": "interior"}}
+_PARABOLIC_AUTOMORPHISM = {
+    "kind": "boundary-data",
+    "points": [{"zeta": [1, 0], "value": [1, 0],
+                "d1": [1 - 9e-10, 0], "d2": [9e-10, 3]}],
+    "denjoy_wolff": {"omega": [1, 0], "derivative": [1 - 9e-10, 0],
+                     "location": "boundary"}}
+_ATTRACTING_CYCLE = {
+    "kind": "boundary-data",
+    "points": [{"zeta": [1, 0], "value": [-1, 0],
+                "d1": [-0.5, 0], "d2": [0, 0]},
+               {"zeta": [-1, 0], "value": [1, 0],
+                "d1": [-0.5, 0], "d2": [0, 0]}],
+    "denjoy_wolff": {"omega": [0, 0], "derivative": [0.5, 0],
+                     "location": "interior"}}
+_SECOND_ATTRACTOR = {
+    "kind": "boundary-data",
+    "points": [{"zeta": [1, 0], "value": [1, 0],
+                "d1": [0.5, 0], "d2": [0, 0]},
+               {"zeta": [-1, 0], "value": [-1, 0],
+                "d1": [0.25, 0], "d2": [0, 0]}],
+    "denjoy_wolff": {"omega": [1, 0], "derivative": [0.5, 0],
+                     "location": "boundary"}}
+
+
 @pytest.mark.parametrize("name", EXAMPLES)
 def test_golden_reports(name, tmp_path):
     out = tmp_path / "report.json"
@@ -69,6 +104,28 @@ def test_analyze_reduces_the_symbol_once(name, polyroots, contact_points,
     capsys.readouterr()
     assert calls == {"polyroots": polyroots,
                      "contact_points": contact_points}
+
+
+@pytest.mark.parametrize("family,largest", [("dilation", 65), ("bump", 1)])
+def test_companion_solves_at_true_degree(family, largest, tmp_path,
+                                         monkeypatch, capsys):
+    # degree 64, where D and H are polynomials in z^64 and z^128: the
+    # dilation's one dense solve is of N - zD, of degree 65, and the
+    # bump is refused before it needs one
+    orders = []
+    eigvals = np.linalg.eigvals
+
+    def recorded(a):
+        orders.append(len(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recorded)
+    (_, _, symbol, _), = perfbench_gen().batch([(family, 64)], 1)
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(symbol))
+    run(["analyze", doc])
+    capsys.readouterr()
+    assert max(orders, default=1) == largest
 
 
 @pytest.mark.parametrize("name,polyval", [
@@ -107,12 +164,7 @@ def test_inner_symbol_exit_2(tmp_path, capsys):
 
 def test_uncertified_symbol_exit_2(tmp_path):
     doc = tmp_path / "bad.json"
-    doc.write_text(json.dumps({
-        "kind": "boundary-data",
-        "points": [{"zeta": [1, 0], "value": [1, 0],
-                    "d1": [2, 0], "d2": [0, 0]}],
-        "denjoy_wolff": {"omega": [0, 0], "derivative": [0.5, 0],
-                         "location": "interior"}}))
+    doc.write_text(json.dumps(_UNCERTIFIED))
     out = tmp_path / "report.json"
     code = run(["analyze", doc, "--out", out])
     assert code == 2
@@ -146,10 +198,7 @@ def test_compact_boundary_data_document(tmp_path):
     # no contact points: the operator is compact, and its spectrum is
     # {0} and the powers of phi'(omega)
     doc = tmp_path / "compact.json"
-    doc.write_text(json.dumps({
-        "kind": "boundary-data", "points": [],
-        "denjoy_wolff": {"omega": [0.3, 0], "derivative": [0.5, 0],
-                         "location": "interior"}}))
+    doc.write_text(json.dumps(_COMPACT))
     out = tmp_path / "report.json"
     assert run(["analyze", doc, "--out", out]) == 0
     report = json.loads(out.read_text())
@@ -163,12 +212,7 @@ def test_parabolic_automorphism_document(tmp_path, capsys):
     # parabolic automorphism class, outside the synthesis theorems,
     # although the point still has order-2 contact (margin 1.8e-9)
     doc = tmp_path / "doc.json"
-    doc.write_text(json.dumps({
-        "kind": "boundary-data",
-        "points": [{"zeta": [1, 0], "value": [1, 0],
-                    "d1": [1 - 9e-10, 0], "d2": [9e-10, 3]}],
-        "denjoy_wolff": {"omega": [1, 0], "derivative": [1 - 9e-10, 0],
-                         "location": "boundary"}}))
+    doc.write_text(json.dumps(_PARABOLIC_AUTOMORPHISM))
     assert run(["classify", doc]) == 0
     classified = json.loads(capsys.readouterr().out)
     assert classified["type_class"] == "parabolic-automorphism"
@@ -192,21 +236,72 @@ def test_attracting_boundary_cycle_is_a_hard_error(tmp_path, capsys):
     # point may.  The reduction walks the orbit partition, so all four
     # projections refuse the document
     doc = tmp_path / "doc.json"
-    doc.write_text(json.dumps({
-        "kind": "boundary-data",
-        "points": [{"zeta": [1, 0], "value": [-1, 0],
-                    "d1": [-0.5, 0], "d2": [0, 0]},
-                   {"zeta": [-1, 0], "value": [1, 0],
-                    "d1": [-0.5, 0], "d2": [0, 0]}],
-        "denjoy_wolff": {"omega": [0, 0], "derivative": [0.5, 0],
-                         "location": "interior"}}))
-    for command in ("analyze", "spectrum", "classify", "boundary"):
+    doc.write_text(json.dumps(_ATTRACTING_CYCLE))
+    for command in PROJECTIONS:
         out = tmp_path / "report.json"
         assert run([command, doc, "--out", out]) == 1
         assert not out.exists()
         err = capsys.readouterr().err.strip().splitlines()
         assert "cycle of length 2 with multiplier 0.25" in (
             json.loads(err[-1])["error"])
+
+
+def test_second_attracting_boundary_fixed_point_is_a_hard_error(tmp_path,
+                                                                capsys):
+    # omega = 1 with phi'(1) = 0.5 is hyperbolic, so its spectrum is the
+    # disk of radius 1/sqrt(0.5); the fixed point -1 with phi' = 0.25
+    # would give the larger radius 2, and a self-map has no such point.
+    # The reduction compares the two, so all four projections refuse it
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(_SECOND_ATTRACTOR))
+    for command in PROJECTIONS:
+        out = tmp_path / "report.json"
+        assert run([command, doc, "--out", out]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert json.loads(err[-1])["error"] == (
+            "cycle-derived rho 2.0 disagrees with 1/sqrt(phi'(omega)) = "
+            "1.414213562373095")
+
+
+# rejections about the theorems, not the data: the only document that
+# some projections accept and others refuse with exit 1
+_THEOREM_SCOPE = {"parabolic-automorphism": {
+    "analyze": 1, "spectrum": 1, "classify": 0, "boundary": 0}}
+
+
+def _agreement_battery():
+    docs = {f"golden-{name}": json.loads(
+        (GOLDEN / f"{name}.symbol.json").read_text()) for name in EXAMPLES}
+    docs.update({"compact": _COMPACT, "uncertified": _UNCERTIFIED,
+                 "parabolic-automorphism": _PARABOLIC_AUTOMORPHISM,
+                 "attracting-2-cycle": _ATTRACTING_CYCLE,
+                 "second-attractor": _SECOND_ATTRACTOR})
+    # one document of each family of the sweep, at its lowest and highest
+    # degree, seed 1
+    gen = perfbench_gen()
+    batch = gen.batch(gen.SWEEP, 1)
+    for family in ("dilation", "hyperbolic", "inner", "pole", "bump"):
+        ks = [i for i, (f, *_) in enumerate(batch) if f == family]
+        for i in (ks[0], ks[-1]):
+            _, k, doc, _ = batch[i]
+            docs[f"sweep-{i:03d}-{family}{k}"] = doc
+    return docs
+
+
+def test_projections_agree_on_scope(tmp_path, capsys):
+    # analyze, spectrum, classify and boundary are projections of one
+    # reduction: on each document they all exit 1 or none does
+    for name, doc in _agreement_battery().items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        codes = {command: run([command, path]) for command in PROJECTIONS}
+        capsys.readouterr()
+        if name in _THEOREM_SCOPE:
+            assert codes == _THEOREM_SCOPE[name]
+        else:
+            assert len({code == 1 for code in codes.values()}) == 1, (
+                name, codes)
 
 
 @pytest.mark.parametrize("command,doc", [

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -15,7 +16,7 @@ from compspec import (BoundaryDataSymbol, DenjoyWolffRecord, Disk,
                       second_order_data, synthesize)
 from compspec.errors import (CompspecError, InvalidDataError,
                              NotInScopeError, RootFindingError)
-from compspec.symbol import DEGREE_CAP, _reflection
+from compspec.symbol import DEGREE_CAP, _reflection, _roots
 from conftest import count_calls, nearest
 
 
@@ -211,6 +212,91 @@ def test_construction_matches_numpy_polynomial(coefficients):
     assert np.array_equal(_bits(_reflection(n, d, deg)), _bits(g))
     assert np.array_equal(_bits(s._desc[2][::-1]), _bits(u))
     assert np.array_equal(_bits(s._desc[3][::-1]), _bits(v))
+
+
+# -- root finding ------------------------------------------------------
+
+_unit_coef = st.builds(lambda r, t: r * cmath.exp(1j * t),
+                       st.floats(0.1, 1.0), st.floats(0.0, 2.0 * math.pi))
+
+
+@st.composite
+def _polynomials_in_z_m(draw):
+    """c(z) = q(z^m) for m in 2-8 and q of degree 1-9: q(0) = 0 to
+    multiplicity 0-2, inner coefficients of q zero at times, and up to
+    2m zero top coefficients on c, untrimmed, as H can have."""
+    m = draw(st.integers(2, 8))
+    q = ([0j] * draw(st.integers(0, 2))
+         + draw(st.lists(st.one_of(st.just(0j), _unit_coef), min_size=1,
+                         max_size=7))
+         + [draw(_unit_coef)])
+    c = np.zeros((len(q) - 1) * m + 1 + draw(st.integers(0, 2 * m)),
+                 dtype=complex)
+    c[: (len(q) - 1) * m + 1: m] = q
+    return c
+
+
+def _match_roots(got, want, tol):
+    """Pair each root of got with the nearest unpaired root of want, and
+    check that it lies within tol of it."""
+    assert got.size == want.size
+    left = list(want)
+    for z, t in zip(got, tol):
+        i = min(range(len(left)), key=lambda j: abs(left[j] - z))
+        assert abs(left.pop(i) - z) <= t, (z, t)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_polynomials_in_z_m())
+def test_roots_of_a_polynomial_in_z_m(c):
+    # the m-th roots of q's roots are c's roots as a multiset, to within
+    # each root's condition: a coefficient perturbation of relative size
+    # eps moves a simple root z by eps |c| |(z^k)| / |c'(z)|, and a zero
+    # root of multiplicity mu by (eps |c| / |c_mu|)^(1 / mu)
+    got = _roots(c)
+    c = np.trim_zeros(c, "b")
+    want = P.polyroots(c)
+    eps = 1e4 * np.finfo(float).eps
+    norm = np.linalg.norm(c)
+    mu = np.flatnonzero(c)[0]
+    powers = np.abs(got)[:, None] ** np.arange(c.size)
+    with np.errstate(divide="ignore"):
+        simple = (eps * norm * np.linalg.norm(powers, axis=1)
+                  / np.abs(P.polyval(got, P.polyder(c))))
+    zero = 10.0 * (eps * norm / abs(c[mu])) ** (1.0 / max(mu, 1))
+    _match_roots(got, want, np.where(got == 0, zero, simple))
+    assert np.count_nonzero(got == 0) == mu
+
+
+@pytest.mark.parametrize("c", [
+    [1, 2],                          # degree 1
+    [0.5, -1j, 2, 0.25 + 1j],        # dense
+    [0, 1, 2],                       # a zero root, exponents 1 and 2
+    [1, 0, 3, 2],                    # exponents 0, 2 and 3
+    [1, 0, 0, 0],                    # a constant, untrimmed
+    [0, 0],                          # zero
+    (-3, -2, 0, 2, 3),               # a zero middle coefficient, as in H
+])
+def test_dense_roots_are_numpy_roots(c):
+    # m <= 1: the same companion solve, to the bit
+    c = np.asarray(c, dtype=complex)
+    got, want = _roots(c), P.polyroots(c)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("den", [
+    (1, 0, 0, -2j),   # roots 2^(-1/3) e^{i (2 pi j - pi / 2) / 3}
+    (1, 1, 0, -2),    # roots 1 and (-1 +- i) / 2
+])
+def test_pole_message_lists_roots_by_angle(den):
+    with pytest.raises(InvalidDataError) as info:
+        RationalSymbol((1,), den)
+    listed = [complex(t.replace(" ", "")) for t in re.findall(
+        r"[-+]?[\d.]+(?:e[-+]?\d+)?\s*[-+]\s*[\d.]+(?:e[-+]?\d+)?j",
+        str(info.value))]
+    angles = [cmath.phase(z) % (2 * math.pi) for z in listed]
+    assert len(listed) == 3 and angles == sorted(angles)
 
 
 def test_evaluation_at_a_pole_is_a_typed_error():

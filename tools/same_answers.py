@@ -24,6 +24,14 @@ symbol documents is built once, from this checkout's
 * three rotations of the lollipop golden;
 * the order-4 map (-3/8, -3/4, 1/8), conjugated by three rotations;
 * bumps of degree 4-64 (``gen.bump``, three heights each);
+* ``gen.dilation`` (a = 2) and ``gen.hyperbolic`` (phi'(1) = 1/2) at
+  degrees 16, 32 and 64, each conjugated by three rotations: D and
+  |N|^2 - |D|^2 stay polynomials in z^k, so their roots come from the
+  polynomial in z^k, while the contacts sit at generic angles; and the
+  same maps with 1e-3 z added to N, which breaks the sparsity, so the
+  nearly identical maps take the dense root-finding path (the added
+  term lifts |phi| above 1 near the contacts, so the self-map test
+  refuses them);
 * the compact maps phi(z) = lam z for lam in {0.5, -0.9, 0.999, 0.9i,
   0.99 e^{0.7i}}, whose spectra are the geometric tail of lam: their
   SVGs compare the tail's boxes, and ``truncate`` checks that the
@@ -84,6 +92,7 @@ LEMMA_SEEDS = range(4)
 GOLDEN_SCALES = (-540, -40, -20, 20, 40, 540)
 TRUNCATE = ["--order", "32", "--out", "report.json"]
 RSM_ORDERS = (11, 17, 23)
+SPARSE_DEGREES = (16, 32, 64)
 TAIL_BASES = (0.5, -0.9, 0.999, 0.9j, 0.99 * cmath.exp(0.7j))
 
 
@@ -148,6 +157,16 @@ def battery() -> dict[str, dict]:
     for k in (4, 8, 16, 32, 48, 64):
         for a in (1e-4, 2e-4, 3e-4):
             docs[f"bump{k}-{a}"] = gen.bump(k, 1.0 + a)[0]
+    for k in SPARSE_DEGREES:
+        for family, (doc, _) in (("dilation", gen.dilation(k, 2.0)),
+                                 ("hyperbolic", gen.hyperbolic(
+                                     k, 2.0 * k, 1.4 + 0.1j))):
+            num, den = ([complex(*c) for c in doc[key]]
+                        for key in ("num", "den"))
+            dense = [num[0], num[1] + 1e-3, *num[2:]]
+            for j, theta in enumerate(ROTATIONS):
+                docs[f"{family}{k}-r{j}"] = _rotated(num, den, theta)
+                docs[f"{family}{k}-dense-r{j}"] = _rotated(dense, den, theta)
     for i, lam in enumerate(TAIL_BASES):
         docs[f"tail{i}"] = _rational((0, lam), (1,))
     for location, omega in (("interior", [0.3, 0]), ("boundary", [1, 0])):
