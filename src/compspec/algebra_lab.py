@@ -42,6 +42,7 @@ import enum
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidDataError, RootFindingError
 
@@ -433,6 +434,23 @@ def truncation_from_coeffs(num_coeffs, den_coeffs, order: int) -> np.ndarray:
     for phi = num/den given by ascending coefficient arrays (degenerate
     symbols, e.g. constants, that the symbol type rejects included).
 
+    The matrix takes O(log2 order) array calls.  1/den comes from Newton
+    doubling on power series: if g = 1/den mod z^m, then den g = 1 +
+    z^m e and g (2 - den g) = g - z^m g e is 1/den mod z^2m, two
+    convolutions per step.  phi = num g to `order` terms is column 1.
+    Once columns 0..m are known, the lower-triangular Toeplitz matrix of
+    column m, which multiplies a series by phi^m, maps columns 1..m to
+    columns m+1..2m in one product.  num and den are first divided by
+    a power of two near |den[0]|, which is exact, so scaling both by a
+    power of two leaves the matrix unchanged, bit for bit.  Its entries
+    agree with term-by-term series division and repeated convolution to
+    a few units of roundoff of each column's largest entry, not bit for
+    bit.
+
+    A matrix with an entry beyond the double range (phi's coefficients
+    grow like the inverse of den's smallest root) raises
+    RootFindingError naming its first non-finite column.
+
     Heuristic diagnostic: no convergence of its eigenvalues to the
     operator spectrum is claimed, except in the exactly solvable
     monomial case.
@@ -449,16 +467,33 @@ def truncation_from_coeffs(num_coeffs, den_coeffs, order: int) -> np.ndarray:
     den[: min(order, len(den_coeffs))] = den_coeffs[:order]
     if abs(den[0]) <= 1e-14 * np.abs(den_coeffs).max(initial=0.0):
         raise InvalidDataError("denominator constant term is ~0")
-    # series division num / den to `order` terms
-    series = np.zeros(order, dtype=complex)
-    for k in range(order):
-        acc = num[k] - np.dot(den[1: k + 1], series[k - 1:: -1][: k])
-        series[k] = acc / den[0]
+    shift = np.frexp(abs(den[0]))[1]
+    num, den = (np.ldexp(c.view(float), -shift).view(complex)
+                for c in (num, den))
     mat = np.zeros((order, order), dtype=complex)
-    col = np.zeros(order, dtype=complex)
-    col[0] = 1.0
-    mat[:, 0] = col
-    for j in range(1, order):
-        col = np.convolve(col, series)[:order]
-        mat[:, j] = col
+    mat[0, 0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.array([1.0 / den[0]])
+        m = 1
+        while m < order:
+            e = np.convolve(den[: 2 * m], g)[m: 2 * m]
+            g = np.concatenate((g, -np.convolve(g, e)[:m]))
+            m *= 2
+        if order > 1:
+            mat[:, 1] = np.convolve(num, g[:order])[:order]
+        # column m, zero-padded above: its windows, reversed, are the
+        # rows of the Toeplitz matrix, a view that follows the buffer
+        padded = np.zeros(2 * order - 1, dtype=complex)
+        toeplitz = sliding_window_view(padded, order)[:, ::-1]
+        m = 1
+        while m + 1 < order:
+            k = min(m, order - 1 - m)
+            padded[order - 1:] = mat[:, m]
+            mat[:, m + 1: m + 1 + k] = np.matmul(toeplitz, mat[:, 1: 1 + k])
+            m *= 2
+    finite = np.isfinite(mat).all(axis=0)
+    if not finite.all():
+        j = int(np.argmin(finite))
+        raise RootFindingError(f"truncation overflows at order {order}: "
+                               f"column {j} (phi^{j}) is not finite")
     return mat

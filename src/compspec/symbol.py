@@ -49,7 +49,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .config import EPS, MATCH_TOL
+from .config import EPS, MATCH_TOL, PICK_FACTOR
 from .errors import (InvalidDataError, NotInScopeError, RootFindingError)
 from .mobius import SecondOrderData, _finite
 
@@ -386,16 +386,20 @@ def analyze(s: Symbol | Analysis) -> Analysis:
     For a rational symbol this finds the contact points, the
     second-order data at each of them and the Denjoy-Wolff point, each
     exactly once.  The partition's walk refuses an attracting boundary
-    cycle, so no projection of the analysis accepts one.  An analysis
-    is returned unchanged."""
+    cycle, so no projection of the analysis accepts one.  Declared
+    boundary data must also pass the boundary Pick test, which a
+    rational symbol's data, taken from a self-map, pass by construction.
+    An analysis is returned unchanged."""
     if isinstance(s, Analysis):
         return s
     from .dynamics import partition   # dynamics imports this module
     if isinstance(s, BoundaryDataSymbol):
+        orbits = partition(s)
+        _check_pick(s)
         return Analysis(s, _certificate(
             s.points, [1] * len(s.points),
             "conditions (i), (ii), (iv): declared by the boundary-data record"),
-            partition(s))
+            orbits)
     contacts = contact_points(s)
     points = tuple(_data_at(s, cp.zeta) for cp in contacts)
     certificate = _certificate(
@@ -404,6 +408,34 @@ def analyze(s: Symbol | Analysis) -> Analysis:
         "analytic on the closed disk")
     boundary = BoundaryDataSymbol(points, _rational_denjoy_wolff(s, points))
     return Analysis(boundary, certificate, partition(boundary))
+
+
+def _pick_matrix(b: BoundaryDataSymbol) -> np.ndarray:
+    """The boundary Pick matrix of the data (Sarason 1998): one node per
+    contact point zeta -> phi(zeta) with |phi'(zeta)| on the diagonal,
+    and omega -> omega with 1 there when omega is interior.  Off the
+    diagonal the entry is (1 - w_a conj(w_b)) / (1 - z_a conj(z_b)).  It
+    is positive semidefinite for every self-map with this data."""
+    dw = b.denjoy_wolff
+    interior = [dw.omega] if dw.location is Location.INTERIOR else []
+    z = np.array([p.zeta for p in b.points] + interior, dtype=complex)
+    w = np.array([p.value for p in b.points] + interior, dtype=complex)
+    den = 1.0 - np.outer(z, z.conj())
+    np.fill_diagonal(den, 1.0)
+    pick = (1.0 - np.outer(w, w.conj())) / den
+    np.fill_diagonal(pick, [abs(p.d1) for p in b.points]
+                     + [1.0] * len(interior))
+    return pick
+
+
+def _check_pick(b: BoundaryDataSymbol) -> None:
+    """Refuse declared data that no self-map has: a boundary Pick matrix
+    with an eigenvalue clearly below 0."""
+    vals = np.linalg.eigvalsh(_pick_matrix(b))
+    if vals[0] < -PICK_FACTOR * EPS * np.abs(vals).max():
+        raise InvalidDataError(
+            "no self-map has this boundary data: its Pick matrix has the "
+            f"eigenvalue {vals[0]:.3g} < 0")
 
 
 def _polish_contact(s: RationalSymbol, theta0: float) -> float:

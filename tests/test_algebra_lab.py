@@ -1,7 +1,13 @@
+import cmath
+import json
+import math
+import pathlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as P
 
 import compspec.algebra_lab as al
@@ -16,6 +22,7 @@ from compspec.algebra_lab import (Pattern, eigenvalues, make_family,
                                   _trial_seed, _union_flc, _verify_products,
                                   _well_conditioned)
 from compspec.errors import InvalidDataError, RootFindingError
+from conftest import count_calls, perfbench_gen
 
 RNG = np.random.default_rng(99)
 
@@ -510,6 +517,155 @@ def test_run_checker_reports_failing_seed(monkeypatch):
 
 
 # -- truncation --------------------------------------------------------
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+TRUNCATION_ORDERS = (1, 2, 3, 4, 5, 16, 64, 128)
+SUBNORMAL_FLOOR = 2.0 ** -760
+
+
+def _truncation_reference(num_coeffs, den_coeffs, order):
+    """The matrix by the definition: num/den by term-by-term series
+    division, then each power of phi by one more convolution."""
+    num = np.zeros(order, dtype=complex)
+    den = np.zeros(order, dtype=complex)
+    num[: min(order, len(num_coeffs))] = num_coeffs[:order]
+    den[: min(order, len(den_coeffs))] = den_coeffs[:order]
+    series = np.zeros(order, dtype=complex)
+    for k in range(order):
+        acc = num[k] - np.dot(den[1: k + 1], series[k - 1:: -1][: k])
+        series[k] = acc / den[0]
+    mat = np.zeros((order, order), dtype=complex)
+    col = np.zeros(order, dtype=complex)
+    col[0] = 1.0
+    mat[:, 0] = col
+    for j in range(1, order):
+        col = np.convolve(col, series)[:order]
+        mat[:, j] = col
+    return mat
+
+
+def _assert_matches_reference(num, den, order):
+    # each entry within 64 order eps of its column's largest entry: the
+    # two ways of forming a product of series sum the same terms in
+    # other orders, so they differ by a few roundoffs per term.  A term
+    # that passes through the subnormal range keeps only the absolute
+    # accuracy 2^-1074, which later factors, at most 2^254 for the
+    # drawn symbols, can raise to 2^-820: so the scale is at least
+    # SUBNORMAL_FLOOR
+    got = truncation_from_coeffs(num, den, order)
+    want = _truncation_reference(np.asarray(num, dtype=complex),
+                                 np.asarray(den, dtype=complex), order)
+    tol = 64 * order * np.finfo(float).eps * np.maximum(
+        np.abs(want).max(axis=0), SUBNORMAL_FLOOR)
+    assert np.all(np.abs(got - want) <= tol), (num, den, order)
+
+
+def _rational_documents():
+    """The rational goldens, and each gen.py family at degree <= 16,
+    seed 1, as (name, num, den)."""
+    docs = [(path.name.split(".")[0], json.loads(path.read_text()))
+            for path in sorted(GOLDEN.glob("*.symbol.json"))]
+    gen = perfbench_gen()
+    docs += [(f"{family}{k}", doc)
+             for family, k, doc, _ in gen.batch(
+                 [(family, k) for family in ("dilation", "hyperbolic",
+                                             "inner", "pole", "bump")
+                  for k in (1, 2, 3, 5, 8, 16)], 1)]
+    return [(name, [complex(*c) for c in doc["num"]],
+             [complex(*c) for c in doc["den"]])
+            for name, doc in docs if doc["kind"] == "rational"]
+
+
+@pytest.mark.parametrize("name,num,den", _rational_documents(),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_truncation_matches_the_reference(name, num, den):
+    for order in TRUNCATION_ORDERS:
+        _assert_matches_reference(num, den, order)
+
+
+_trunc_coef = st.builds(lambda r, t: r * cmath.exp(1j * t),
+                        st.floats(0.0, 1.0), st.floats(0.0, 2.0 * math.pi))
+
+
+@st.composite
+def _truncation_symbols(draw):
+    """Dense num and den of degree <= 16, or sparse ones with 1-3
+    nonzero terms at exponents up to 16.  den has no zero in the disk
+    of radius 1/2, and |phi| <= 2 there, so the coefficients of phi^j
+    grow at most like 2^j 2^k and every matrix up to order 128 is
+    finite."""
+    def poly():
+        if draw(st.booleans()):
+            return draw(st.lists(_trunc_coef, min_size=1, max_size=17))
+        c = [0j] * 17
+        for k in draw(st.lists(st.integers(0, 16), min_size=1,
+                               max_size=3)):
+            c[k] = draw(_trunc_coef)
+        return c
+
+    def half_disk_sum(c):
+        return sum(abs(v) * 0.5 ** k for k, v in enumerate(c))
+
+    num, den = poly(), poly()
+    tail = half_disk_sum(den[1:]) / 2.0
+    floor = draw(st.floats(0.1, 1.0)) * tail + draw(st.floats(1e-3, 1.0))
+    den[0] = tail + floor     # so |den| >= floor on |z| <= 1/2
+    scale = draw(st.floats(0.1, 2.0)) * floor / max(half_disk_sum(num),
+                                                    1e-300)
+    return [v * scale for v in num], den
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_truncation_symbols())
+def test_truncation_matches_the_reference_on_drawn_symbols(symbol):
+    for order in TRUNCATION_ORDERS:
+        _assert_matches_reference(*symbol, order)
+
+
+@pytest.mark.parametrize("num,den", [
+    ((-2, -1, 2), (-3, 0, 2)),      # lollipop
+    ((0, 0.5), (1,)),               # z/2
+    ((0.3,), (1.0,)),               # a constant
+])
+def test_truncation_work_grows_with_log_order(num, den, monkeypatch):
+    # ceil(log2 order) Newton steps of two convolutions each, one more
+    # for num/den, and ceil(log2 (order - 1)) Toeplitz products, whatever
+    # the symbol
+    for order in (2, 3, 4, 5, 16, 17, 64, 65, 128):
+        calls = count_calls(monkeypatch, (np, "convolve"), (np, "matmul"))
+        truncation_from_coeffs(num, den, order)
+        assert calls == {"convolve": 2 * (order - 1).bit_length() + 1,
+                         "matmul": (order - 2).bit_length()}, order
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("num,den", [
+    ((-2, -1, 2), (-3, 0, 2)),      # lollipop
+    # 1/den = sum 1e-3k z^k: times 2^-540 it would underflow from k = 48
+    ((0, 0.5), (1, -1e-3)),
+])
+def test_truncation_is_exact_under_power_of_two_scaling(num, den):
+    # (2^k num) / (2^k den) is the same map, as long as no coefficient
+    # leaves the normal range: the same matrix, bit for bit
+    num, den = np.array(num, dtype=float), np.array(den, dtype=float)
+    want = truncation_from_coeffs(num, den, 64)
+    for k in (-1000, -540, -1, 1, 540, 1000):
+        got = truncation_from_coeffs(np.ldexp(num, k), np.ldexp(den, k), 64)
+        assert np.array_equal(got, want), k
+
+
+def test_truncation_overflow_is_a_typed_error():
+    # 0.5 / (1 - 1000 z) has the coefficients 0.5 1000^k, beyond the
+    # double range from k = 103 on; order 64 still fits
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RootFindingError, match=(
+                r"truncation overflows at order 128: column 1 \(phi\^1\)")):
+            truncation_from_coeffs([0.5], [1, -1000], 128)
+        m = truncation_from_coeffs([0.5], [1, -1000], 64)
+    assert np.isfinite(m).all()
+    assert np.abs(eigenvalues(m)).max() == pytest.approx(3.3e206, rel=0.01)
+
 
 def test_truncation_monomial_exact():
     s = RationalSymbol((0, 0.5), (1,))

@@ -5,6 +5,7 @@ import math
 import pathlib
 import re
 import time
+import warnings
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -77,6 +78,25 @@ _SECOND_ATTRACTOR = {
                 "d1": [0.5, 0], "d2": [0, 0]},
                {"zeta": [-1, 0], "value": [-1, 0],
                 "d1": [0.25, 0], "d2": [0, 0]}],
+    "denjoy_wolff": {"omega": [1, 0], "derivative": [0.5, 0],
+                     "location": "boundary"}}
+
+# data that no self-map has (the boundary Pick matrix has a negative
+# eigenvalue): phi(0) = 0 forces |phi'| >= 1 at every boundary fixed
+# point (Julia's lemma), and a map that is not an automorphism has at
+# most one boundary fixed point with phi' <= 1
+_PICK_INTERIOR_FIXED = {
+    "kind": "boundary-data",
+    "points": [{"zeta": [1, 0], "value": [1, 0],
+                "d1": [0.5, 0], "d2": [0, 0]}],
+    "denjoy_wolff": {"omega": [0, 0], "derivative": [0.5, 0],
+                     "location": "interior"}}
+_PICK_TWO_BOUNDARY_FIXED = {
+    "kind": "boundary-data",
+    "points": [{"zeta": [1, 0], "value": [1, 0],
+                "d1": [0.5, 0], "d2": [0, 0]},
+               {"zeta": [-1, 0], "value": [-1, 0],
+                "d1": [0.7, 0], "d2": [0, 0]}],
     "denjoy_wolff": {"omega": [1, 0], "derivative": [0.5, 0],
                      "location": "boundary"}}
 
@@ -264,6 +284,23 @@ def test_second_attracting_boundary_fixed_point_is_a_hard_error(tmp_path,
             "1.414213562373095")
 
 
+@pytest.mark.parametrize("doc,smallest", [
+    (_PICK_INTERIOR_FIXED, "-0.281"), (_PICK_TWO_BOUNDARY_FIXED, "-0.405")])
+def test_data_no_self_map_has_is_a_hard_error(doc, smallest, tmp_path,
+                                              capsys):
+    # each got Disk(sqrt 2), exit 0, before the boundary Pick test
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    for command in PROJECTIONS:
+        out = tmp_path / "report.json"
+        assert run([command, path, "--out", out]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert json.loads(err[-1])["error"] == (
+            "no self-map has this boundary data: its Pick matrix has the "
+            f"eigenvalue {smallest} < 0")
+
+
 # rejections about the theorems, not the data: the only document that
 # some projections accept and others refuse with exit 1
 _THEOREM_SCOPE = {"parabolic-automorphism": {
@@ -276,7 +313,9 @@ def _agreement_battery():
     docs.update({"compact": _COMPACT, "uncertified": _UNCERTIFIED,
                  "parabolic-automorphism": _PARABOLIC_AUTOMORPHISM,
                  "attracting-2-cycle": _ATTRACTING_CYCLE,
-                 "second-attractor": _SECOND_ATTRACTOR})
+                 "second-attractor": _SECOND_ATTRACTOR,
+                 "pick-interior-fixed": _PICK_INTERIOR_FIXED,
+                 "pick-two-boundary-fixed": _PICK_TWO_BOUNDARY_FIXED})
     # one document of each family of the sweep, at its lowest and highest
     # degree, seed 1
     gen = perfbench_gen()
@@ -299,6 +338,8 @@ def test_projections_agree_on_scope(tmp_path, capsys):
         capsys.readouterr()
         if name in _THEOREM_SCOPE:
             assert codes == _THEOREM_SCOPE[name]
+        elif name.startswith("pick-"):
+            assert set(codes.values()) == {1}, (name, codes)
         else:
             assert len({code == 1 for code in codes.values()}) == 1, (
                 name, codes)
@@ -587,6 +628,30 @@ def test_truncate_non_finite_coefficient_typed_error(tmp_path, capsys):
     assert not out.exists()
     err = capsys.readouterr().err.strip().splitlines()
     assert json.loads(err[-1])["error"] == "coefficients must be finite"
+
+
+def test_truncate_overflow_typed_error(tmp_path, capsys):
+    # 0.5 / (1 - 1000 z): phi's coefficients 0.5 1000^k pass the double
+    # range at k = 103.  Nothing reaches the eigen-solver, and no numpy
+    # warning reaches stderr; order 64 still fits
+    doc = tmp_path / "pole.json"
+    doc.write_text(json.dumps({"kind": "rational", "num": [[0.5, 0]],
+                               "den": [[1, 0], [-1000, 0]]}))
+    out = tmp_path / "trunc.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["truncate", doc, "--order", "128", "--out", out]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == (
+            "truncation overflows at order 128: column 1 (phi^1) is not "
+            "finite")
+        assert run(["truncate", doc, "--order", "64", "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+    top = max(abs(complex(*v)) for v in json.loads(out.read_text())[
+        "eigenvalues"])
+    assert top == pytest.approx(3.3e206, rel=0.01)
 
 
 def test_svg_deterministic(tmp_path):

@@ -16,8 +16,9 @@ from compspec import (BoundaryDataSymbol, DenjoyWolffRecord, Disk,
                       second_order_data, synthesize)
 from compspec.errors import (CompspecError, InvalidDataError,
                              NotInScopeError, RootFindingError)
-from compspec.symbol import DEGREE_CAP, _reflection, _roots
-from conftest import count_calls, nearest
+from compspec.config import EPS, PICK_FACTOR
+from compspec.symbol import DEGREE_CAP, _pick_matrix, _reflection, _roots
+from conftest import count_calls, nearest, perfbench_gen
 
 
 # -- validation --------------------------------------------------------
@@ -487,6 +488,61 @@ def test_boundary_data_dw_coherence():
     with pytest.raises(InvalidDataError):
         # derivative mismatch
         BoundaryDataSymbol((p,), DenjoyWolffRecord(1, 0.25, Location.BOUNDARY))
+
+
+# -- the boundary Pick test --------------------------------------------
+
+def test_pick_matrix_of_declared_data(square_root):
+    # nodes -1 -> -1 (|phi'| = 2.5) and 1 -> 1 (0.5): off the diagonal
+    # (1 - (-1)(1)) / (1 - (-1)(1)) = 1
+    pick = _pick_matrix(square_root)
+    assert np.array_equal(pick, [[2.5, 1.0], [1.0, 0.5]])
+    assert np.linalg.eigvalsh(pick)[0] == pytest.approx(0.0858, abs=1e-4)
+    # an interior Denjoy-Wolff point is one more node, omega -> omega
+    p = SecondOrderData(1j, 1j, 2.0, 0)
+    pick = _pick_matrix(BoundaryDataSymbol(
+        (p,), DenjoyWolffRecord(0.5, 0.25, Location.INTERIOR)))
+    entry = (1 - 1j * 0.5) / (1 - 1j * 0.5)
+    assert np.allclose(pick, [[2.0, entry], [np.conj(entry), 1.0]],
+                       rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("points,dw,smallest", [
+    # phi(0) = 0 and phi(1) = 1 with phi'(1) = 0.5 < 1: Julia's lemma
+    ([(1, 1, 0.5)], (0, 0.5, Location.INTERIOR), -0.281),
+    # two boundary fixed points with phi' = 0.5 and 0.7
+    ([(1, 1, 0.5), (-1, -1, 0.7)], (1, 0.5, Location.BOUNDARY), -0.405),
+    # the attracting 2-cycle 1 <-> -1, which the partition refuses first
+    ([(1, -1, -0.5), (-1, 1, -0.5)], (0, 0.5, Location.INTERIOR), -0.5),
+])
+def test_pick_matrix_refuses_data_no_self_map_has(points, dw, smallest):
+    s = BoundaryDataSymbol(tuple(SecondOrderData(z, w, d1, 0)
+                                 for z, w, d1 in points),
+                           DenjoyWolffRecord(*dw))
+    assert np.linalg.eigvalsh(_pick_matrix(s))[0] == pytest.approx(
+        smallest, abs=1e-3)
+    with pytest.raises(InvalidDataError):
+        analyze(s)
+
+
+def _in_scope_sweep(seed):
+    gen = perfbench_gen()
+    return [RationalSymbol([complex(*c) for c in doc["num"]],
+                           [complex(*c) for c in doc["den"]])
+            for _, _, doc, expected in gen.batch(gen.SWEEP, seed)
+            if expected["exit"] == 0]
+
+
+def test_pick_matrix_of_every_rational_analysis_is_positive_definite(
+        lollipop, two_cycle, eight_point, square_root):
+    # a rational symbol's data come from a self-map, so the reduction
+    # does not test them; here they must clear the test's band
+    symbols = [lollipop, two_cycle, eight_point, square_root,
+               *_in_scope_sweep(1)]
+    assert len(symbols) == 113
+    for s in symbols:
+        vals = np.linalg.eigvalsh(_pick_matrix(analyze(s).boundary))
+        assert vals[0] > PICK_FACTOR * EPS * np.abs(vals).max(), s
 
 
 # -- Clark atoms and essential norm ------------------------------------

@@ -46,7 +46,11 @@ symbol documents is built once, from this checkout's
   phi'(1) = 1 - 9e-10, phi''(1) = 9e-10 + 3i), which is order-2
   certified but outside the synthesis theorems;
 * a boundary-data 2-cycle 1 <-> -1 with |phi'| = 0.5 at each point,
-  an attracting cycle that the orbit partition rejects.
+  an attracting cycle that the orbit partition rejects;
+* two boundary-data documents that no self-map has, which the boundary
+  Pick test rejects: the interior fixed point 0 with one boundary fixed
+  point 1 where phi' = 0.5, and the boundary fixed points 1 (phi' =
+  0.5, the Denjoy-Wolff point) and -1 (phi' = 0.7).
 
 For each tree a worker process imports ``compspec`` from the tree's
 ``src/`` and calls ``compspec.cli.main`` in-process for
@@ -61,8 +65,9 @@ divisible by n, and rsm with n = 8 at order 40, where some products
 have genuine eigenvalues below their matching tolerance, each at master
 seeds 0-3.  Every difference in exit code, stdout, stderr, report bytes
 or SVG bytes is printed (an uncaught exception counts as exit 1, with
-its type and message as stderr); the exit status is 0 when there is
-none, 1 otherwise.
+its type and message as stderr), then one count per command and field
+that differs, then the total; the exit status is 0 when there is no
+difference, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -80,6 +85,7 @@ import json
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -189,6 +195,20 @@ def battery() -> dict[str, dict]:
                     "d1": [-0.5, 0], "d2": [0, 0]}],
         "denjoy_wolff": {"omega": [0, 0], "derivative": [0.5, 0],
                          "location": "interior"}}
+    docs["pick-interior-fixed"] = {
+        "kind": "boundary-data",
+        "points": [{"zeta": [1, 0], "value": [1, 0],
+                    "d1": [0.5, 0], "d2": [0, 0]}],
+        "denjoy_wolff": {"omega": [0, 0], "derivative": [0.5, 0],
+                         "location": "interior"}}
+    docs["pick-two-boundary-fixed"] = {
+        "kind": "boundary-data",
+        "points": [{"zeta": [1, 0], "value": [1, 0],
+                    "d1": [0.5, 0], "d2": [0, 0]},
+                   {"zeta": [-1, 0], "value": [-1, 0],
+                    "d1": [0.7, 0], "d2": [0, 0]}],
+        "denjoy_wolff": {"omega": [1, 0], "derivative": [0.5, 0],
+                         "location": "boundary"}}
     return docs
 
 
@@ -280,7 +300,8 @@ def _answers(tree: Path, docdir: Path, work: Path) -> dict:
 FIELDS = ("exit code", "stdout", "stderr", "report bytes", "SVG bytes")
 
 
-def compare(parent: dict, change: dict) -> list[str]:
+def compare(parent: dict, change: dict) -> list[tuple[str, str, str]]:
+    """(command, field, line) for every difference."""
     diffs = []
     missing = [None] * len(FIELDS)   # a run that one tree did not make
     for name in sorted(parent):
@@ -289,8 +310,8 @@ def compare(parent: dict, change: dict) -> list[str]:
                                    parent[name].get(cmd, missing),
                                    change[name].get(cmd, missing)):
                 if a != b:
-                    diffs.append(f"{name} {cmd}: {field} differ "
-                                 f"({_brief(a)} -> {_brief(b)})")
+                    diffs.append((cmd, field, f"{name} {cmd}: {field} differ "
+                                  f"({_brief(a)} -> {_brief(b)})"))
     return diffs
 
 
@@ -318,8 +339,11 @@ def main(argv: list[str]) -> int:
         before = _answers(parent, docdir, base / "parent")
         after = _answers(change, docdir, base / "change")
     diffs = compare(before, after)
-    for line in diffs:
+    for *_, line in diffs:
         print(line)
+    for (cmd, field), count in sorted(Counter(
+            (cmd, field) for cmd, field, _ in diffs).items()):
+        print(f"{cmd} {field}: {count} differences")
     runs = sum(len(cmds) for cmds in before.values())
     print(f"{len(docs)} documents and {len(lemma_runs())} lemma-check "
           f"runs, {runs} runs in all, {len(diffs)} differences")
