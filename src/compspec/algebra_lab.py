@@ -321,7 +321,14 @@ def _equality_cta(mats: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     only 0 and the union is the nonzero spectrum of a_1."""
     tol = _scaled_tol(mats)
     total, union = _sum_and_parts(mats, blocks)
-    return _match(_nonzero(total, tol), _nonzero(union, tol), tol)
+    union = _nonzero(union, tol)
+    # A defective zero eigenvalue of the sum perturbs as far as about
+    # eps^(1/multiplicity), above the plain tolerance, while its genuine
+    # eigenvalues lie at the union's and so at least its smallest
+    # modulus: cut between the two, as _rsm does (fmax: an empty union
+    # leaves tol)
+    cut = np.fmax(tol, np.fmin.reduce(np.abs(union), axis=1) / 10.0)
+    return _match(_nonzero(total, cut), union, tol)
 
 
 def _cyclic_product(mats: np.ndarray, k: int) -> np.ndarray:

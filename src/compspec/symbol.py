@@ -27,20 +27,26 @@ Newton-polished on d/dtheta |phi|^2 from its middle.
 
 Each polynomial root (of D, of H and of N - zD) comes from one
 companion-matrix solve at the polynomial's true degree: a polynomial
-whose nonzero coefficients sit at multiples of m > 1 is q(z^m), and its
-roots are the m-th roots of q's.  A symbol psi(z^k), the usual way to
-place k contact points, has D a polynomial in z^k and H one in z^2k,
-so the solves shrink by those factors.
+whose lowest nonzero coefficient is at z^s, and whose other nonzero
+coefficients sit s plus multiples of m apart, is z^s q(z^m); its roots
+are s exact zeros and the m-th roots of q's.  A symbol psi(z^k), the
+usual way to place k contact points, has D a polynomial in z^k, H one
+in z^2k and, when psi(0) = 0, N - zD one of the form z q(z^k), so the
+solves shrink by those factors.
 
-Scalar evaluation of phi, phi' and phi'' runs Horner's rule over Python
-complex coefficients: a numpy call per point costs more than its arithmetic.
-For the same reason the derivative numerators and G are formed with
-``np.convolve``, slicing and a padded subtraction rather than the
-numpy.polynomial helpers, giving the same doubles.
+phi, phi' and phi'' at a point come from one jet: one Horner pass over
+D and one over each of N, U and V asked for (phi' = U/D^2, phi'' =
+V/D^3).  The jet and every per-point loop run on Python complex scalars
+(cmath.exp, not np.exp), which give numpy's doubles: a numpy call per
+point costs more than its arithmetic.  For the same reason the
+derivative numerators and G are formed with ``np.convolve``, slicing
+and a padded subtraction rather than the numpy.polynomial helpers,
+giving the same doubles.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
 import itertools
 from dataclasses import dataclass, field
@@ -133,22 +139,25 @@ def _reflection(n: np.ndarray, d: np.ndarray, deg: int) -> np.ndarray:
 def _roots(c: np.ndarray) -> np.ndarray:
     """Companion-matrix roots of c; a failed solve is a typed error.
 
-    With m the gcd of the exponents of c's nonzero coefficients,
-    c(z) = q(z^m) for q = c[::m].  The companion solve is of q, at
-    degree deg c / m, and each root w of q gives its m m-th roots
-    |w|^(1/m) e^{i (arg w + 2 pi j) / m}, j = 0 ... m - 1: the
-    principal root w^(1/m) times each m-th root of unity.  A zero root
-    of q gives zeros, so its multiplicity is multiplied by m.  For
-    m <= 1 (c dense, constant or zero) this is ``P.polyroots(c)``."""
-    m = int(np.gcd.reduce(np.flatnonzero(c)))
+    With s the lowest power of c with a nonzero coefficient and m the
+    gcd of the exponents of c / z^s, c(z) = z^s q(z^m) for
+    q = c[s::m].  The s zero roots are exact (and listed first).  The
+    companion solve is of q, at degree (deg c - s) / m, and each root w
+    of q gives its m m-th roots |w|^(1/m) e^{i (arg w + 2 pi j) / m},
+    j = 0 ... m - 1: the principal root w^(1/m) times each m-th root of
+    unity.  For s = 0 and m <= 1 (c dense with c(0) != 0, constant or
+    zero) this is ``P.polyroots(c)``."""
+    exponents = np.flatnonzero(c)
+    s = int(exponents[0]) if exponents.size else 0
+    m = int(np.gcd.reduce(exponents - s))
     try:
         with np.errstate(all="ignore"):   # the result is checked below
-            roots = P.polyroots(c[::m] if m > 1 else c)
+            roots = P.polyroots(c[s::m] if m > 1 else c[s:])
             if m > 1:
                 unity = np.exp(2j * np.pi * np.arange(m) / m)
                 roots = np.outer(roots ** (1.0 / m), unity).ravel()
         if np.all(np.isfinite(roots)):
-            return roots
+            return np.concatenate((np.zeros(s, dtype=complex), roots))
     except np.linalg.LinAlgError:
         pass
     raise RootFindingError("companion-matrix root finding failed")
@@ -219,28 +228,34 @@ class RationalSymbol:
             tuple(a[::-1].tolist()) for a in (d, n, u, v)))
 
     # -- evaluation -------------------------------------------------
-    def _ratio(self, k: int, z: complex) -> complex:
-        """The (k-1)-th derivative of phi at z: _desc[k] / D^k, with both
-        polynomials evaluated by Horner's rule."""
+    def _jet(self, k: int, z: complex) -> list[complex]:
+        """The first k of phi, phi' and phi'' at z: N/D, U/(D D) and
+        V/(D D D), from one Horner pass over D and one over each of N,
+        U and V that is needed."""
         z = complex(z)
-        d = top = 0j
-        for c in self._desc[0]:
+        desc = self._desc
+        d = 0j
+        for c in desc[0]:
             d = d * z + c
-        for c in self._desc[k]:
-            top = top * z + c
-        den = d if k == 1 else d * d if k == 2 else d * d * d
-        if den == 0:
-            raise RootFindingError(f"denominator of phi vanishes at {z}")
-        return top / den
+        jet, den = [], d
+        for poly in desc[1: k + 1]:
+            if den == 0:
+                raise RootFindingError(f"denominator of phi vanishes at {z}")
+            top = 0j
+            for c in poly:
+                top = top * z + c
+            jet.append(top / den)
+            den *= d
+        return jet
 
     def value(self, z: complex) -> complex:
-        return self._ratio(1, z)
+        return self._jet(1, z)[0]
 
     def deriv(self, z: complex) -> complex:
-        return self._ratio(2, z)
+        return self._jet(2, z)[1]
 
     def deriv2(self, z: complex) -> complex:
-        return self._ratio(3, z)
+        return self._jet(3, z)[2]
 
 
 class Location(str, enum.Enum):
@@ -442,14 +457,12 @@ def _polish_contact(s: RationalSymbol, theta0: float) -> float:
     """Newton on d/dtheta |phi(e^{i theta})|^2 from the seed angle."""
     theta = theta0
     for _ in range(60):
-        z = np.exp(1j * theta)
-        f = s.value(z)
-        f1 = s.deriv(z)
-        f2 = s.deriv2(z)
+        z = cmath.exp(1j * theta)
+        f, f1, f2 = s._jet(3, z)
         ft = 1j * z * f1                      # d/dtheta phi(e^{i theta})
         ftt = -z * f1 - z * z * f2
-        g = 2.0 * (np.conj(f) * ft).real
-        gp = 2.0 * (abs(ft) ** 2 + (np.conj(f) * ftt).real)
+        g = 2.0 * (f.conjugate() * ft).real
+        gp = 2.0 * (abs(ft) ** 2 + (f.conjugate() * ftt).real)
         if abs(gp) < 1e-14:
             break
         step = g / gp
@@ -472,29 +485,31 @@ def _split_root(run: np.ndarray, mid: complex) -> float | None:
 def contact_points(s: RationalSymbol) -> list[ContactPoint]:
     """Contact points of a rational symbol by angle in [0, 2 pi), with
     their multiplicities: the contact-locating step of :func:`analyze`."""
-    crit, on = s._polys.critical, np.abs(s._polys.modulus - 1.0) < 1e-8
-    off = np.flatnonzero(~on)   # start the cycle off every run
-    cycle = np.roll(np.arange(on.size), -off[0] if off.size else 0)
+    crit = s._polys.critical
+    on = [abs(v - 1.0) < 1e-8 for v in s._polys.modulus.tolist()]
+    # start the cycle off every run
+    start = on.index(False) if False in on else 0
+    cycle = itertools.chain(range(start, len(on)), range(start))
     contacts, runs = [], itertools.groupby(cycle, on.__getitem__)
     for run in (list(g) for k, g in runs if k):
         mid = crit[run[len(run) // 2]]
         theta = _split_root(crit[run], mid) if len(run) > 1 else None
         if theta is None:
             theta = _polish_contact(s, float(np.angle(mid)))
-        z = complex(np.exp(1j * theta))
+        z = cmath.exp(1j * theta)
         # components below 1e-15 are roundoff of an exact zero (as in
         # Im e^{i pi}), and their sign differs between platforms
         z = complex(*(0.0 if abs(x) < 1e-15 else x for x in (z.real, z.imag)))
-        if abs(abs(s.value(z)) - 1.0) < 1e-8:
+        if abs(abs(s._jet(1, z)[0]) - 1.0) < 1e-8:
             contacts.append(ContactPoint(z, len(run) + 1))
-    contacts.sort(key=lambda cp: np.angle(cp.zeta) % (2.0 * np.pi))
+    contacts.sort(key=lambda cp: cmath.phase(cp.zeta) % (2.0 * np.pi))
     return contacts
 
 
 def _data_at(s: RationalSymbol, z: complex) -> SecondOrderData:
-    value = s.value(z)
+    value, d1, d2 = s._jet(3, z)
     value /= abs(value)  # unimodular up to roundoff by construction
-    return SecondOrderData(z, value, s.deriv(z), s.deriv2(z))
+    return SecondOrderData(z, value, d1, d2)
 
 
 def _certificate(points, multiplicities, note: str) -> S2Certificate:
@@ -528,13 +543,15 @@ def _rational_denjoy_wolff(s: RationalSymbol, points) -> DenjoyWolffRecord:
     for r in interior:
         # Newton polish on phi(z) - z (simple root when |phi'| < 1)
         z = r
+        f, f1 = s._jet(2, z)
         for _ in range(50):
-            step = (s.value(z) - z) / (s.deriv(z) - 1.0)
+            step = (f - z) / (f1 - 1.0)
             z -= step
+            f, f1 = s._jet(2, z)
             if abs(step) < 1e-15:
                 break
-        if abs(s.deriv(z)) < 1.0 - EPS and abs(z) < 1.0 - EPS:
-            found.append(DenjoyWolffRecord(z, s.deriv(z), Location.INTERIOR))
+        if abs(f1) < 1.0 - EPS and abs(z) < 1.0 - EPS:
+            found.append(DenjoyWolffRecord(z, f1, Location.INTERIOR))
     if len(found) > 1:
         raise RootFindingError(
             f"multiple interior DW candidates: {[f_.omega for f_ in found]}")

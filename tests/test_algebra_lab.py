@@ -378,6 +378,17 @@ def test_rsm_drops_the_roundoff_zeros_of_products(n, order, seed):
     assert _rsm(mats, blocks)[0]
 
 
+@pytest.mark.parametrize("seed", [1115383073, 382432507])
+def test_equality_cuts_the_split_zeros_of_the_sum(seed):
+    # the lead-in sum's double zero splits to about 6e-6, above the
+    # matching tolerance, while its genuine eigenvalues lie at the
+    # union's, 2e-3 and more: the cut must drop the split zero
+    mats, blocks = _make_stack(Pattern.LEAD_IN, 2, 16, [seed])
+    total = np.abs(eigenvalues(mats.sum(axis=1))[0])
+    assert ((total > _scaled_tol(mats)[0]) & (total < 1e-4)).any()
+    assert _equality_cta(mats, blocks)[0]
+
+
 def test_rsm_order_not_divisible_by_n():
     # block sizes differ, so the sum has defective zero eigenvalues;
     # the checker must still separate them from the genuine spectrum

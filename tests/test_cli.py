@@ -126,12 +126,8 @@ def test_analyze_reduces_the_symbol_once(name, polyroots, contact_points,
                      "contact_points": contact_points}
 
 
-@pytest.mark.parametrize("family,largest", [("dilation", 65), ("bump", 1)])
-def test_companion_solves_at_true_degree(family, largest, tmp_path,
-                                         monkeypatch, capsys):
-    # degree 64, where D and H are polynomials in z^64 and z^128: the
-    # dilation's one dense solve is of N - zD, of degree 65, and the
-    # bump is refused before it needs one
+def _eigvals_orders(monkeypatch) -> list:
+    """The order of every np.linalg.eigvals call from here on."""
     orders = []
     eigvals = np.linalg.eigvals
 
@@ -140,12 +136,31 @@ def test_companion_solves_at_true_degree(family, largest, tmp_path,
         return eigvals(a)
 
     monkeypatch.setattr(np.linalg, "eigvals", recorded)
+    return orders
+
+
+@pytest.mark.parametrize("family,largest", [("dilation", 64), ("bump", 1)])
+def test_companion_solves_at_true_degree(family, largest, tmp_path,
+                                         monkeypatch, capsys):
+    # degree 64, where D and H are polynomials in z^64 and z^128: the
+    # dilation's one dense solve is of N - zD = z q(z), of degree 65,
+    # at the degree 64 of q, and the bump is refused before it needs one
+    orders = _eigvals_orders(monkeypatch)
     (_, _, symbol, _), = perfbench_gen().batch([(family, 64)], 1)
     doc = tmp_path / "doc.json"
     doc.write_text(json.dumps(symbol))
     run(["analyze", doc])
     capsys.readouterr()
     assert max(orders, default=1) == largest
+
+
+def test_eight_point_solves(monkeypatch, capsys):
+    # D, of degree 10, in z^2; H, of degree 20, in z^2; and N - zD, with
+    # exponents 1, 3, 5, 9 and 11, as z q(z^2)
+    orders = _eigvals_orders(monkeypatch)
+    assert run(["analyze", GOLDEN / "eight_point.symbol.json"]) == 0
+    capsys.readouterr()
+    assert orders == [5, 10, 5]
 
 
 @pytest.mark.parametrize("name,polyval", [

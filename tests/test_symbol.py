@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+from collections import Counter
 
 import mpmath
 import numpy as np
@@ -163,6 +164,36 @@ def test_scalar_evaluation_matches_numpy(lollipop, two_cycle, eight_point):
                     assert abs(g - w) <= 1e-13 * abs(w)
 
 
+def _quotient_reference(s, k, z):
+    """phi, phi' or phi'' (k = 1, 2, 3) at z as one quotient, with D and
+    the numerator each by Horner's rule on their own."""
+    z = complex(z)
+    d = top = 0j
+    for c in s._desc[0]:
+        d = d * z + c
+    for c in s._desc[k]:
+        top = top * z + c
+    return top / (d if k == 1 else d * d if k == 2 else d * d * d)
+
+
+def test_jet_keeps_the_bits_of_one_quotient_each(lollipop, two_cycle,
+                                                 eight_point):
+    # the jet shares D's Horner pass; every entry keeps its bits
+    rng = np.random.default_rng(8)
+    symbols = [lollipop, two_cycle, eight_point] + [
+        _random_symbol(rng, k) for k in (1, 2, 5, 17, DEGREE_CAP)]
+    points = [0j, 1.0, -1j] + [cmath.exp(1j * t) for t in rng.uniform(
+        0.0, 2.0 * math.pi, 20)] + list(0.9 * rng.uniform(-1, 1, (10, 2))
+                                        @ [1, 1j])
+    for s in symbols:
+        for z in points:
+            for k in (1, 2, 3):
+                got = [(v.real.hex(), v.imag.hex()) for v in s._jet(k, z)]
+                want = [(v.real.hex(), v.imag.hex()) for v in (
+                    _quotient_reference(s, j, z) for j in range(1, k + 1))]
+                assert got == want
+
+
 def _bits(c):
     """The coefficient doubles of c without trailing zeros, as raw bits."""
     c = np.ascontiguousarray(np.trim_zeros(np.asarray(c, dtype=complex), "b"))
@@ -223,17 +254,19 @@ _unit_coef = st.builds(lambda r, t: r * cmath.exp(1j * t),
 
 @st.composite
 def _polynomials_in_z_m(draw):
-    """c(z) = q(z^m) for m in 2-8 and q of degree 1-9: q(0) = 0 to
-    multiplicity 0-2, inner coefficients of q zero at times, and up to
-    2m zero top coefficients on c, untrimmed, as H can have."""
+    """c(z) = z^s q(z^m) for m in 2-8, s in 0 ... m - 1 and q of degree
+    1-9: q(0) = 0 to multiplicity 0-2, inner coefficients of q zero at
+    times, and up to 2m zero top coefficients on c, untrimmed, as H can
+    have."""
     m = draw(st.integers(2, 8))
+    s = draw(st.integers(0, m - 1))
     q = ([0j] * draw(st.integers(0, 2))
          + draw(st.lists(st.one_of(st.just(0j), _unit_coef), min_size=1,
                          max_size=7))
          + [draw(_unit_coef)])
-    c = np.zeros((len(q) - 1) * m + 1 + draw(st.integers(0, 2 * m)),
+    c = np.zeros(s + (len(q) - 1) * m + 1 + draw(st.integers(0, 2 * m)),
                  dtype=complex)
-    c[: (len(q) - 1) * m + 1: m] = q
+    c[s: s + (len(q) - 1) * m + 1: m] = q
     return c
 
 
@@ -250,10 +283,11 @@ def _match_roots(got, want, tol):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_polynomials_in_z_m())
 def test_roots_of_a_polynomial_in_z_m(c):
-    # the m-th roots of q's roots are c's roots as a multiset, to within
-    # each root's condition: a coefficient perturbation of relative size
-    # eps moves a simple root z by eps |c| |(z^k)| / |c'(z)|, and a zero
-    # root of multiplicity mu by (eps |c| / |c_mu|)^(1 / mu)
+    # s exact zeros and the m-th roots of q's roots are c's roots as a
+    # multiset, to within each root's condition: a coefficient
+    # perturbation of relative size eps moves a simple root z by
+    # eps |c| |(z^k)| / |c'(z)|, and a zero root of multiplicity mu by
+    # (eps |c| / |c_mu|)^(1 / mu)
     got = _roots(c)
     c = np.trim_zeros(c, "b")
     want = P.polyroots(c)
@@ -272,18 +306,33 @@ def test_roots_of_a_polynomial_in_z_m(c):
 @pytest.mark.parametrize("c", [
     [1, 2],                          # degree 1
     [0.5, -1j, 2, 0.25 + 1j],        # dense
-    [0, 1, 2],                       # a zero root, exponents 1 and 2
+    [1e-300, 1, 2],                  # a tiny c(0), not a zero root
     [1, 0, 3, 2],                    # exponents 0, 2 and 3
     [1, 0, 0, 0],                    # a constant, untrimmed
     [0, 0],                          # zero
     (-3, -2, 0, 2, 3),               # a zero middle coefficient, as in H
 ])
 def test_dense_roots_are_numpy_roots(c):
-    # m <= 1: the same companion solve, to the bit
+    # s = 0 and m <= 1: the same companion solve, to the bit
     c = np.asarray(c, dtype=complex)
     got, want = _roots(c), P.polyroots(c)
     assert got.dtype == want.dtype
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("c,s", [
+    ([0, 1, 2], 1),                  # exponents 1 and 2
+    ([0, 0, 0.5, -1j, 2, 0], 2),     # exponents 2, 3 and 4, untrimmed
+    ([0, 0, 0, 1j], 3),              # a monomial
+])
+def test_zero_roots_are_split_off_exactly(c, s):
+    # c = z^s c' with c' dense: s exact zeros first, then c''s
+    # companion solve, to the bit
+    c = np.asarray(c, dtype=complex)
+    got, want = _roots(c), P.polyroots(c[s:])
+    assert got.dtype == want.dtype
+    assert np.array_equal(got[:s], np.zeros(s))
+    assert np.array_equal(got[s:].view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("den", [
@@ -337,10 +386,32 @@ def test_dw_declared(square_root):
 
 
 def test_lollipop_analysis_makes_few_evaluations(lollipop, monkeypatch):
-    # 34 measured; any iteration of phi would add one per step
-    calls = count_calls(monkeypatch, (RationalSymbol, "_ratio"))
+    # 6 measured; any iteration of phi would add one per step
+    calls = count_calls(monkeypatch, (RationalSymbol, "_jet"))
     analyze(lollipop)
-    assert calls["_ratio"] <= 40
+    assert calls["_jet"] <= 10
+
+
+@pytest.mark.parametrize("name,jets", [
+    ("lollipop", {1: 2, 3: 4}),
+    ("two_cycle", {1: 2, 2: 2, 3: 4}),
+    ("eight_point", {1: 8, 2: 2, 3: 16}),
+])
+def test_jet_evaluations_per_analysis(name, jets, request, monkeypatch):
+    # by jet length k: phi alone to accept each contact (k = 1), phi
+    # and phi' per fixed-point Newton step plus one (k = 2), and all
+    # three per contact-polish step and for each contact's data (k = 3)
+    s = request.getfixturevalue(name)
+    lengths = Counter()
+    jet = RationalSymbol._jet
+
+    def counted(self, k, z):
+        lengths[k] += 1
+        return jet(self, k, z)
+
+    monkeypatch.setattr(RationalSymbol, "_jet", counted)
+    analyze(s)
+    assert lengths == jets
 
 
 def _rotated(num, den, theta):

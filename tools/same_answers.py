@@ -22,6 +22,9 @@ symbol documents is built once, from this checkout's
 * ``gen.hyperbolic`` at degrees 1-4 with phi'(1) in
   {0.5, 0.9, 0.99, 0.999, 0.9999};
 * three rotations of the lollipop golden;
+* the eight_point and two_cycle goldens, each conjugated by three
+  rotations: their N - zD stays of the form z q(z^2), so its zero root
+  is split off exactly while the contacts sit at generic angles;
 * the order-4 map (-3/8, -3/4, 1/8), conjugated by three rotations;
 * bumps of degree 4-64 (``gen.bump``, three heights each);
 * ``gen.dilation`` (a = 2) and ``gen.hyperbolic`` (phi'(1) = 1/2) at
@@ -158,6 +161,11 @@ def battery() -> dict[str, dict]:
                 k, k / p, 1.4 + 0.1j)[0]
     for j, theta in enumerate((0.7, 2.5, -1.9)):
         docs[f"lollipop-r{j}"] = _rotated(*LOLLIPOP, theta)
+    for name in ("eight_point", "two_cycle"):
+        num, den = ([complex(*c) for c in docs[f"golden-{name}"][key]]
+                    for key in ("num", "den"))
+        for j, theta in enumerate(ROTATIONS):
+            docs[f"{name}-r{j}"] = _rotated(num, den, theta)
     for j, theta in enumerate(ROTATIONS):
         docs[f"order4-r{j}"] = _rotated((-3 / 8, -3 / 4, 1 / 8), (1,), theta)
     for k in (4, 8, 16, 32, 48, 64):
