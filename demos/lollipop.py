@@ -33,7 +33,7 @@ for c in part.cycles:
           f"with multiplier {c.multiplier:.3f}")
 
 report = cs.synthesize(a)
-print(f"\ntype: {report.type_class.value}")
+print(f"\ntype: {a.type_class.value}")
 print("essential spectrum:", report.essential.primitives)
 print("spectrum:          ", report.full.primitives)
 print("essential norm^2:  ", cs.essential_norm_sq(a))

@@ -336,9 +336,9 @@ def _full_report(doc, a: Analysis) -> tuple:
         "input": doc,
         "accepted": True,
         "certification": _cert_json(a.certificate),
-        "denjoy_wolff": _dw_json(report.dw),
-        "type_class": report.type_class.value,
-        "partition": _partition_json(report.partition),
+        "denjoy_wolff": _dw_json(a.boundary.denjoy_wolff),
+        "type_class": a.type_class.value,
+        "partition": _partition_json(a.partition),
         "rho": report.rho,
         "essential": _region_json(report.essential),
         "full": _region_json(report.full),

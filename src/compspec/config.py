@@ -5,13 +5,21 @@ Two tolerance tiers are used throughout:
 * ``EPS`` -- the general "within tolerance" threshold for algebraic
   identities, normalization, region membership, and the self-map, inner
   and order-2 margin tests (1e-9);
-* ``MATCH_TOL`` -- the coarser tolerance used when matching a computed
-  boundary image against a stored contact point (1e-7).
+* ``MATCH_TOL`` -- the coarser tolerance within which two boundary
+  points are the same point (1e-7).
 
-Boundary-orbit matching needs the two-tier scheme: contact points are
-polished to far better than ``MATCH_TOL``, and a guard in the dynamics
-layer requires contact points to be separated by at least ten times
-``MATCH_TOL`` so that matching is unambiguous.
+Contact points are polished to far better than ``MATCH_TOL``.  It is
+read in :mod:`compspec.symbol` alone, for these decisions:
+
+* ``BoundaryDataSymbol``: its points lie more than 10 ``MATCH_TOL``
+  apart, so each match is unique; ``successor`` matches each image to a
+  point (the orbit partition walks it) and ``omega_index`` a boundary
+  omega (the type class and the parabolic synthesis read it), whose
+  image must match it: "declared DW point is not fixed";
+* ``_rational_denjoy_wolff``: the boundary fixed points, the
+  Denjoy-Wolff candidates, among a rational symbol's contact points;
+* ``second_order_data(s, zeta)``: the point that zeta matches;
+* ``clark_atoms(s, alpha)``: the points whose image matches alpha.
 
 A boundary-data document is rejected when its boundary Pick matrix P
 has an eigenvalue below ``-PICK_FACTOR * EPS * ||P||_2``: no self-map

@@ -4,7 +4,7 @@ Each contact point either iterates out of the contact set within n steps
 (n = number of contact points), or is eventually periodic.  The contact
 set therefore splits into iterate-out points, disjoint cycles, and
 lead-in sets, one per cycle, which :func:`partition` finds in one walk
-along the successor indices of a boundary-data symbol.
+along the successor indices that a boundary-data symbol matched once.
 :func:`compspec.symbol.analyze` makes that walk once per symbol and
 keeps its result, so every other caller reads the analysis.  Cycle
 multipliers come from the chain rule over the cycle's own data, never
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .config import EPS, MATCH_TOL
+from .config import EPS
 from .errors import InvalidDataError
 from .symbol import (Analysis, BoundaryDataSymbol, Location, Symbol,
                      analyze, second_order_data)
@@ -50,12 +50,6 @@ class OrbitPartition:
         return pts
 
 
-def _match(points, w):
-    """Index of the contact point within MATCH_TOL of w, or None."""
-    return next((i for i, p in enumerate(points) if abs(p - w) <= MATCH_TOL),
-                None)
-
-
 def cycle_multiplier(s: Symbol | Analysis, points) -> float:
     """Chain-rule product of |phi'| over the cycle points."""
     a = analyze(s)
@@ -73,12 +67,9 @@ def partition(s: Symbol | Analysis) -> OrbitPartition:
     that gives a larger rho than 1/sqrt(phi'(omega))."""
     if not isinstance(s, BoundaryDataSymbol):
         return analyze(s).partition
-    # matching needs the contact points more than 10x MATCH_TOL apart,
-    # which BoundaryDataSymbol enforces
-    data = s.points
+    data, succ = s.points, s.successor
     points = [p.zeta for p in data]
     n = len(points)
-    succ = [_match(points, p.value) for p in data]
 
     # fate[i] = -1 if i's orbit leaves the contact set, else the index
     # of the cycle it reaches.  A walk stops where the orbit leaves,

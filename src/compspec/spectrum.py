@@ -13,28 +13,30 @@ one exact routine, the distance to a primitive, gives :func:`distance`,
 :func:`contains` and the ``truncate`` distances.
 
 Synthesis reads boundary data only (see :func:`compspec.symbol.analyze`)
-and dispatches on the Denjoy-Wolff data and the orbit partition:
-compact and power-compact cases give {0} plus the eigenvalue tail,
-otherwise the essential spectrum is assembled from cycle multipliers
-(disk of radius rho) and, for a parabolic fixed point, a spiral.
+and dispatches on the analysis's Denjoy-Wolff record, type class and
+orbit partition: compact and power-compact cases give {0} plus the
+eigenvalue tail, otherwise the essential spectrum is assembled from
+cycle multipliers (disk of radius rho) and, for a parabolic fixed point,
+a spiral.  A :class:`SpectrumReport` holds what that adds, with the
+type class and Denjoy-Wolff record it read.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import EPS, MATCH_TOL
+from .config import EPS
 from .dynamics import OrbitPartition, rho
 from .errors import InvalidDataError, NotCertifiedError
 from .mobius import (MobiusMap, _finite, derivative, fixed_points,
                      is_disk_automorphism, lfm_from_data, second_derivative,
                      IDENTITY_FIXED, AT_INFINITY)
 from .symbol import (Analysis, DenjoyWolffRecord, Location, Symbol,
-                     TypeClass, analyze, second_order_data)
+                     TypeClass, analyze)
 
 __all__ = [
     "Disk", "Spiral", "Points", "GeometricTail", "SpectralRegion",
@@ -326,21 +328,15 @@ def rho_star(part: OrbitPartition, excluded_cycle: int) -> float:
 
 @dataclass(frozen=True)
 class SpectrumReport:
+    """The regions and rho that the synthesis adds to an analysis, with
+    the analysis's type class and Denjoy-Wolff record (which
+    ``perfbench/test_perfbench.py`` reads off the report)."""
     essential: SpectralRegion
     full: SpectralRegion
     rho: float
     type_class: TypeClass
-    partition: OrbitPartition
     dw: DenjoyWolffRecord
-    notes: tuple = field(default_factory=tuple)
-
-
-def _dw_cycle_index(part: OrbitPartition, omega: complex) -> int:
-    for i, c in enumerate(part.cycles):
-        if c.length == 1 and abs(c.points[0] - omega) <= MATCH_TOL:
-            return i
-    raise InvalidDataError(
-        "boundary Denjoy-Wolff point is not a singleton cycle")
+    notes: tuple = ()
 
 
 def synthesize(s: Symbol | Analysis) -> SpectrumReport:
@@ -352,7 +348,6 @@ def synthesize(s: Symbol | Analysis) -> SpectrumReport:
             f"symbol fails order-2 certification at {[c.zeta for c in cert.failing]}")
     dw = a.boundary.denjoy_wolff
     part = a.partition
-    notes = []
     tclass = a.type_class
     if tclass is TypeClass.PARABOLIC_AUTOMORPHISM:
         raise InvalidDataError(
@@ -361,15 +356,12 @@ def synthesize(s: Symbol | Analysis) -> SpectrumReport:
 
     if not part.cycles:
         # compact (empty contact set) or power-compact (all iterate-out)
-        lam = dw.derivative
+        r = 0.0
         essential = region(Points((0.0 + 0.0j,)))
-        full = region(GeometricTail(lam), Points((0.0 + 0.0j,)))
-        notes.append("compact" if not part.all_points else
-                     "power-compact: all contact points iterate out")
-        return SpectrumReport(essential, full, 0.0, tclass, part, dw,
-                              tuple(notes))
-
-    if tclass is TypeClass.DILATION:
+        full = region(GeometricTail(dw.derivative), Points((0.0 + 0.0j,)))
+        note = ("compact" if not part.all_points else
+                "power-compact: all contact points iterate out")
+    elif tclass is TypeClass.DILATION:
         r = rho(part)
         lam = dw.derivative
         pts = [1.0 + 0.0j]
@@ -381,28 +373,26 @@ def synthesize(s: Symbol | Analysis) -> SpectrumReport:
                 w *= lam
         essential = region(Disk(r))
         full = region(Disk(r), Points(tuple(pts)))
-        notes.append("interior Denjoy-Wolff point: disk of radius rho plus "
-                     "finitely many eigenvalue powers")
-        return SpectrumReport(essential, full, r, tclass, part, dw,
-                              tuple(notes))
-
-    if tclass is TypeClass.HYPERBOLIC:
+        note = ("interior Denjoy-Wolff point: disk of radius rho plus "
+                "finitely many eigenvalue powers")
+    elif tclass is TypeClass.HYPERBOLIC:
         # the partition checked that the cycles give the same rho
         r = 1.0 / math.sqrt(dw.derivative.real)
-        both = region(Disk(r))
-        notes.append("hyperbolic Denjoy-Wolff point: spectrum is the closed "
-                     "disk of radius 1/sqrt(phi'(omega))")
-        return SpectrumReport(both, both, r, tclass, part, dw, tuple(notes))
-
-    # parabolic non-automorphism type
-    j_star = _dw_cycle_index(part, dw.omega)
-    r_star = rho_star(part, j_star)
-    prims = [Spiral(dw.omega * second_order_data(a, dw.omega).d2)]
-    if r_star > EPS:
-        prims.append(Disk(r_star))
-    both = region(*prims)
-    notes.append("parabolic fixed point: spiral plus disk of radius rho_*")
-    return SpectrumReport(both, both, r_star, tclass, part, dw, tuple(notes))
+        essential = full = region(Disk(r))
+        note = ("hyperbolic Denjoy-Wolff point: spectrum is the closed "
+                "disk of radius 1/sqrt(phi'(omega))")
+    else:
+        # parabolic non-automorphism type: omega's point is fixed, a
+        # 1-cycle
+        at_omega = a.boundary.points[a.boundary.omega_index]
+        r = rho_star(part, [c.points for c in part.cycles].index(
+            (at_omega.zeta,)))
+        prims = [Spiral(dw.omega * at_omega.d2)]
+        if r > EPS:
+            prims.append(Disk(r))
+        essential = full = region(*prims)
+        note = "parabolic fixed point: spiral plus disk of radius rho_*"
+    return SpectrumReport(essential, full, r, tclass, dw, (note,))
 
 
 def spectral_radius_check(report: SpectrumReport,

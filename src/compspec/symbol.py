@@ -4,7 +4,8 @@ A rational symbol is given by numerator/denominator coefficient arrays
 (ascending powers) and must be analytic on the closed disk, map the disk
 into itself, and not be inner.  A boundary-data symbol carries explicit
 second-order data at finitely many unimodular points plus a declared
-Denjoy-Wolff record; it is the entry path for non-rational maps.
+Denjoy-Wolff record; it is the entry path for non-rational maps, and
+the one place where boundary points are matched.
 
 The synthesis reads only boundary data, so :func:`analyze` reduces a
 symbol of either kind, once, to an :class:`Analysis`: a boundary-data
@@ -146,7 +147,14 @@ def _roots(c: np.ndarray) -> np.ndarray:
     of q gives its m m-th roots |w|^(1/m) e^{i (arg w + 2 pi j) / m},
     j = 0 ... m - 1: the principal root w^(1/m) times each m-th root of
     unity.  For s = 0 and m <= 1 (c dense with c(0) != 0, constant or
-    zero) this is ``P.polyroots(c)``."""
+    zero) this is ``P.polyroots(c)``.  c is first divided by a power of
+    two near its largest modulus (exact, and it lifts a c of subnormal
+    terms alone into the normal range), and terms then below 2^-1022
+    are dropped: a top one only adds roots far off the circle, which
+    overflow the companion matrix; any other moves roots by roundoff."""
+    c = np.ascontiguousarray(c, complex)
+    c = np.ldexp(c.view(float), -np.frexp(np.abs(c).max())[1]).view(complex)
+    c[np.abs(c) < 2.0 ** -1022] = 0
     exponents = np.flatnonzero(c)
     s = int(exponents[0]) if exponents.size else 0
     m = int(np.gcd.reduce(exponents - s))
@@ -294,10 +302,15 @@ class DenjoyWolffRecord:
 @dataclass(frozen=True)
 class BoundaryDataSymbol:
     """A symbol known only through second-order data at its contact set
-    (which may be empty: the operator is then compact)."""
+    (which may be empty: the operator is then compact).  Its points lie
+    more than 10 MATCH_TOL apart; ``successor[i]`` is the point within
+    MATCH_TOL of points[i]'s image and ``omega_index`` the one within
+    MATCH_TOL of a boundary omega, each None when there is none."""
 
     points: tuple
     denjoy_wolff: DenjoyWolffRecord
+    successor: tuple = field(init=False, repr=False, compare=False)
+    omega_index: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = tuple(self.points)
@@ -309,19 +322,27 @@ class BoundaryDataSymbol:
             for j in range(i + 1, len(zetas)):
                 if abs(zetas[i] - zetas[j]) <= 10 * MATCH_TOL:
                     raise InvalidDataError("contact points not distinct")
-        dw = self.denjoy_wolff
+
+        def match(w: complex) -> int | None:
+            return next((i for i, z in enumerate(zetas)
+                         if abs(z - w) <= MATCH_TOL), None)
+
+        successor = tuple(match(p.value) for p in pts)
+        dw, omega = self.denjoy_wolff, None
         if dw.location is Location.BOUNDARY:
-            match = [p for p in pts if abs(p.zeta - dw.omega) <= MATCH_TOL]
-            if not match:
+            omega = match(dw.omega)
+            if omega is None:
                 raise InvalidDataError(
                     "boundary DW point is not among the declared points")
-            p = match[0]
-            if abs(p.value - p.zeta) > MATCH_TOL:
+            if successor[omega] != omega:
                 raise InvalidDataError("declared DW point is not fixed")
-            if abs(p.d1 - dw.derivative) > 1e-6 * max(1.0, abs(p.d1)):
+            d1 = pts[omega].d1
+            if abs(d1 - dw.derivative) > 1e-6 * max(1.0, abs(d1)):
                 raise InvalidDataError(
                     "declared DW derivative disagrees with point data")
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "successor", successor)
+        object.__setattr__(self, "omega_index", omega)
 
 
 Symbol = RationalSymbol | BoundaryDataSymbol
@@ -388,10 +409,8 @@ class Analysis:
 
     @property
     def type_class(self) -> TypeClass:
-        dw = self.boundary.denjoy_wolff
-        data = (second_order_data(self, dw.omega)
-                if dw.location is Location.BOUNDARY else None)
-        return classify_type(dw, data)
+        b, i = self.boundary, self.boundary.omega_index
+        return classify_type(b.denjoy_wolff, None if i is None else b.points[i])
 
 
 def analyze(s: Symbol | Analysis) -> Analysis:
@@ -413,8 +432,9 @@ def analyze(s: Symbol | Analysis) -> Analysis:
         _check_pick(s)
         return Analysis(s, _certificate(
             s.points, [1] * len(s.points),
-            "conditions (i), (ii), (iv): declared by the boundary-data record"),
-            orbits)
+            "conditions (i), (ii), (iv): declared by the boundary-data record",
+            "d2 is declared, not tested against a self-map: the boundary "
+            "Pick test reads only the values and |phi'|"), orbits)
     contacts = contact_points(s)
     points = tuple(_data_at(s, cp.zeta) for cp in contacts)
     certificate = _certificate(
@@ -512,7 +532,7 @@ def _data_at(s: RationalSymbol, z: complex) -> SecondOrderData:
     return SecondOrderData(z, value, d1, d2)
 
 
-def _certificate(points, multiplicities, note: str) -> S2Certificate:
+def _certificate(points, multiplicities, *notes: str) -> S2Certificate:
     """Per-contact-point order-2 checks; rejection is a value."""
     checks = []
     for data, mult in zip(points, multiplicities):
@@ -522,7 +542,7 @@ def _certificate(points, multiplicities, note: str) -> S2Certificate:
                "" if order2 else "order-2 contact inequality fails")
         checks.append(PointCheck(data.zeta, margin, order2, mult, not why,
                                  why))
-    return S2Certificate(all(c.ok for c in checks), tuple(checks), (note,))
+    return S2Certificate(all(c.ok for c in checks), tuple(checks), notes)
 
 
 def _rational_denjoy_wolff(s: RationalSymbol, points) -> DenjoyWolffRecord:

@@ -360,6 +360,71 @@ def test_projections_agree_on_scope(tmp_path, capsys):
                 name, codes)
 
 
+def _iterate_radius(b, n=240, span=120):
+    """The essential spectral radius of C_phi from the iterates phi_m,
+    read off the boundary data b alone.
+
+    r_e = lim ||C_{phi_m}||_e^{1/m} (the spectral radius formula in the
+    Calkin algebra), and ||C_{phi_m}||_e^2 is the largest Clark sum
+    S_m(alpha) of 1/|phi_m'(zeta)| over the contacts zeta of phi_m with
+    phi_m(zeta) = alpha (Cima and Matheson 1997).  Those contacts are
+    the points whose first m - 1 images are contact points, and
+    |phi_m'| is the product of |d1| along the orbit, so with w[j] the
+    sum over the orbits of length m that end at point j, S_m(point k)
+    is the sum of w[j] over successor[j] = k, and it times 1/|d1_k| is
+    the next w[k].  Past n > len(b.points) steps every orbit ends on a
+    cycle, whose images are declared points, and each S_m is a sum of
+    geometric sequences, one rate per cycle: (S_{n+L}/S_n)^{1/(2L)} is
+    exact when span is a multiple of every cycle length.  The sums are
+    kept scaled to a largest entry of 1, with their log scale apart."""
+    succ = np.array([-1 if j is None else j for j in b.successor], dtype=int)
+    inv = np.array([1.0 / abs(p.d1) for p in b.points])
+    on = succ >= 0
+    w, scale, logs = inv, 0.0, []
+    for m in range(1, n + span + 1):
+        sums = np.bincount(succ[on], w[on], minlength=succ.size)
+        top = sums.max(initial=0.0)
+        if top == 0.0:
+            return 0.0   # every orbit has left the contact set
+        if m in (n, n + span):
+            logs.append(math.log(top) + scale)
+        w, scale = sums * inv / top, scale + math.log(top)
+    return math.exp((logs[1] - logs[0]) / (2 * span))
+
+
+def test_iterates_give_the_essential_spectral_radius():
+    # a second route to the outer radius of every synthesis branch, on
+    # the goldens, the in-scope sweep at seed 1 and this module's
+    # boundary-data documents, of which only the compact one is in scope
+    from compspec import analyze, max_modulus, synthesize
+    from compspec.cli import _parse_symbol
+    from compspec.errors import CompspecError
+    gen = perfbench_gen()
+    docs = {f"golden-{name}": json.loads(
+        (GOLDEN / f"{name}.symbol.json").read_text()) for name in EXAMPLES}
+    docs.update((f"sweep-{i:03d}-{family}{k}", doc)
+                for i, (family, k, doc, exp)
+                in enumerate(gen.batch(gen.SWEEP, 1)) if exp["exit"] == 0)
+    docs.update({name: doc for name, doc in _agreement_battery().items()
+                 if doc["kind"] == "boundary-data"})
+    compared, refused = 0, set()
+    for name, doc in docs.items():
+        try:
+            a = analyze(_parse_symbol(doc))
+            want = max_modulus(synthesize(a).essential)
+        except CompspecError:
+            refused.add(name)
+            continue
+        assert all(120 % c.length == 0 for c in a.partition.cycles), name
+        got = _iterate_radius(a.boundary)
+        assert abs(got - want) <= 1e-12 * max(1.0, want), (name, got, want)
+        compared += 1
+    assert compared == 4 + 109 + 1
+    assert refused == {"uncertified", "parabolic-automorphism",
+                       "attracting-2-cycle", "second-attractor",
+                       "pick-interior-fixed", "pick-two-boundary-fixed"}
+
+
 @pytest.mark.parametrize("command,doc", [
     ("truncate", {"kind": "rational", "den": [[1, 0]]}),
     ("truncate", [1, 2]),
@@ -433,13 +498,21 @@ def test_reports_do_not_depend_on_coefficient_scale(name, tmp_path):
     assert len(truncations) == 1 and "no_prediction" not in truncations.pop()
 
 
-@pytest.mark.parametrize("num,den", [
-    # a subnormal top coefficient of D or N sends the companion matrix
-    # to infinity
+# a subnormal top coefficient of D or N, which would send the companion
+# matrix to infinity if the root solve did not drop it
+_SUBNORMAL_TOP = [
     ([[0, 0], [0, 0]], [[1, 0], [0, 0], [0, 2.2250738585e-313]]),
     ([[0, 0], [0.5, 0], [0, 2.2250738585e-313]], [[1, 0]]),
-])
-def test_failed_root_finding_is_a_typed_error(num, den, tmp_path, capsys):
+]
+
+
+@pytest.mark.parametrize("num,den", _SUBNORMAL_TOP)
+def test_failed_root_finding_is_a_typed_error(num, den, tmp_path, capsys,
+                                              monkeypatch):
+    def fail(c):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(compspec.symbol.P, "polyroots", fail)
     doc = tmp_path / "subnormal.json"
     doc.write_text(json.dumps({"kind": "rational", "num": num, "den": den}))
     out = tmp_path / "report.json"
@@ -450,6 +523,29 @@ def test_failed_root_finding_is_a_typed_error(num, den, tmp_path, capsys):
     assert run(["truncate", doc, "--order", "8", "--out", out]) == 0
     res = json.loads(out.read_text())
     assert "root finding failed" in res["diagnostics"]["no_prediction"]
+
+
+def test_subnormal_top_coefficient_of_d_is_dropped(tmp_path, capsys):
+    # 0 / (1 + 2.2e-313i z^2) is the constant 0
+    num, den = _SUBNORMAL_TOP[0]
+    doc = tmp_path / "subnormal.json"
+    doc.write_text(json.dumps({"kind": "rational", "num": num, "den": den}))
+    assert run(["analyze", doc]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(err[-1]) == {"error": "symbol is constant"}
+
+
+def test_subnormal_top_coefficient_of_n_is_dropped(tmp_path):
+    # 0.5 z + 2.2e-313i z^2 is a compact map: its spectrum is the tail
+    # of phi'(0) = 0.5, on which the truncation's eigenvalues lie
+    num, den = _SUBNORMAL_TOP[1]
+    doc = tmp_path / "subnormal.json"
+    doc.write_text(json.dumps({"kind": "rational", "num": num, "den": den}))
+    out = tmp_path / "report.json"
+    assert run(["analyze", doc, "--out", out]) == 0
+    assert json.loads(out.read_text())["full"] == [{"tail": [0.5, 0.0]}]
+    assert run(["truncate", doc, "--order", "8", "--out", out]) == 0
+    assert json.loads(out.read_text())["distances"] == [0.0] * 8
 
 
 @pytest.mark.parametrize("theta", [0.0, 2.5, -1.0, 0.7, -1.9])

@@ -4,9 +4,12 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from compspec import (BoundaryDataSymbol, DenjoyWolffRecord, Location,
-                      RationalSymbol, SecondOrderData, analyze, contact_set,
-                      cycle_multiplier, partition)
+from compspec import (BoundaryDataSymbol, DenjoyWolffRecord, GeometricTail,
+                      Location, Points, RationalSymbol, SecondOrderData,
+                      analyze, contact_set, cycle_multiplier, partition,
+                      region, region_equal, synthesize)
+from compspec.config import MATCH_TOL
+from compspec.errors import InvalidDataError
 from conftest import nearest
 
 
@@ -148,6 +151,7 @@ _successor_maps = st.integers(1, 64).flatmap(lambda n: st.lists(
 @given(_successor_maps)
 def test_partition_matches_the_reference_walk(succ):
     a = analyze(_successor_symbol(succ))
+    assert a.boundary.successor == tuple(succ)
     pts = [p.zeta for p in a.boundary.points]
     part = partition(a)
     iterate_out, cycles, lead_ins = _reference_walk(succ)
@@ -174,3 +178,75 @@ def test_partition_of_64_contacts_onto_one_fixed_point():
     assert cycle.multiplier == pytest.approx(128.0, rel=1e-12)
     assert cycle.multiplier == cycle_multiplier(s, cycle.points)
     assert len(part.lead_ins[0]) == 63
+
+
+# -- matching at the tolerance edge ------------------------------------
+
+def _turned(b, angle):
+    """b's data turned into those of e^{i angle} phi: each declared image
+    phi(zeta), with phi' and phi'' there, times e^{i angle}, and the
+    declared omega with them.  An image or omega that matched a point
+    exactly now lies 2 sin(angle / 2), about angle, from it."""
+    w = cmath.exp(1j * angle)
+    dw = b.denjoy_wolff
+    return BoundaryDataSymbol(
+        tuple(SecondOrderData(p.zeta, w * p.value, w * p.d1, w * p.d2)
+              for p in b.points),
+        DenjoyWolffRecord(w * dw.omega, dw.derivative, dw.location))
+
+
+def _edge_symbol(name, request):
+    if name == "lead_in":
+        # (1 + z^2)/2: -1 is a lead-in to the parabolic fixed point 1
+        return RationalSymbol((1, 0, 1), (2,))
+    return request.getfixturevalue(name)
+
+
+def _shape(part):
+    return part.iterate_out, [c.points for c in part.cycles], part.lead_ins
+
+
+@pytest.mark.parametrize("name", ["lollipop", "square_root", "lead_in",
+                                  "two_cycle", "eight_point"])
+def test_matches_hold_at_half_the_tolerance(name, request):
+    # each image and omega 0.5 MATCH_TOL from its point still matches it:
+    # the partition, type class and regions are the exact data's, the
+    # regions to within the data's own change
+    exact = analyze(_edge_symbol(name, request))
+    near = analyze(_turned(exact.boundary, 0.5 * MATCH_TOL))
+    assert near.boundary.successor == exact.boundary.successor
+    assert near.boundary.omega_index == exact.boundary.omega_index
+    assert _shape(near.partition) == _shape(exact.partition)
+    assert [c.multiplier for c in near.partition.cycles] == pytest.approx(
+        [c.multiplier for c in exact.partition.cycles], rel=1e-12)
+    assert near.type_class is exact.type_class
+    got, want = synthesize(near), synthesize(exact)
+    assert region_equal(got.essential, want.essential, 10 * MATCH_TOL)
+    assert region_equal(got.full, want.full, 10 * MATCH_TOL)
+
+
+@pytest.mark.parametrize("name", ["lollipop", "square_root", "lead_in"])
+def test_boundary_omega_is_lost_at_twice_the_tolerance(name, request):
+    # a boundary Denjoy-Wolff point 2 MATCH_TOL from its point matches
+    # no declared point, and the record is refused
+    exact = analyze(_edge_symbol(name, request)).boundary
+    with pytest.raises(InvalidDataError, match="^boundary DW point is not "
+                       "among the declared points$"):
+        _turned(exact, 2 * MATCH_TOL)
+
+
+@pytest.mark.parametrize("name", ["two_cycle", "eight_point"])
+def test_images_are_lost_at_twice_the_tolerance(name, request):
+    # with an interior Denjoy-Wolff point, each image 2 MATCH_TOL from
+    # its point matches none: every point iterates out, and the operator
+    # is power-compact, with the tail of phi'(omega) as its spectrum
+    exact = analyze(_edge_symbol(name, request))
+    far = analyze(_turned(exact.boundary, 2 * MATCH_TOL))
+    assert far.boundary.successor == (None,) * len(exact.boundary.points)
+    assert _shape(far.partition) == (
+        tuple(p.zeta for p in exact.boundary.points), [], {})
+    report = synthesize(far)
+    assert report.notes == ("power-compact: all contact points iterate out",)
+    lam = exact.boundary.denjoy_wolff.derivative
+    assert region_equal(report.full, region(GeometricTail(lam),
+                                            Points((0j,))))

@@ -8,10 +8,10 @@ import pytest
 
 import compspec.spectrum
 from compspec import (Disk, GeometricTail, MobiusMap, Points, Spiral,
-                      TypeClass, contains, denjoy_wolff, kms2t_essential_union,
-                      lft_spectra, max_modulus, partition, region,
-                      region_equal, rho, rho_star, spectral_radius_check,
-                      synthesize)
+                      TypeClass, analyze, contains, denjoy_wolff,
+                      kms2t_essential_union, lft_spectra, max_modulus,
+                      partition, region, region_equal, rho, rho_star,
+                      spectral_radius_check, synthesize)
 from compspec.config import EPS
 from compspec.mobius import (SecondOrderData, derivative, fixed_points,
                              lfm_from_data)
@@ -405,7 +405,7 @@ def RationalSymbol_psi1():
 
 def test_synthesize_lollipop(lollipop):
     rep = synthesize(lollipop)
-    assert rep.type_class is TypeClass.PARABOLIC_NON_AUTOMORPHISM
+    assert analyze(lollipop).type_class is TypeClass.PARABOLIC_NON_AUTOMORPHISM
     expected = region(Disk(1 / 3), Spiral(8))
     assert region_equal(rep.essential, expected)
     assert region_equal(rep.full, expected)
@@ -417,14 +417,14 @@ def test_synthesize_lollipop(lollipop):
 
 def test_synthesize_two_cycle(two_cycle):
     rep = synthesize(two_cycle)
-    assert rep.type_class is TypeClass.DILATION
+    assert analyze(two_cycle).type_class is TypeClass.DILATION
     assert region_equal(rep.essential, region(Disk(5 ** -0.5)))
     assert region_equal(rep.full, region(Disk(5 ** -0.5), Points((1.0,))))
 
 
 def test_synthesize_eight_point(eight_point):
     rep = synthesize(eight_point)
-    assert rep.type_class is TypeClass.DILATION
+    assert analyze(eight_point).type_class is TypeClass.DILATION
     assert rep.rho == pytest.approx(ROOT12, abs=1e-9)
     assert region_equal(rep.essential, region(Disk(ROOT12)))
     assert region_equal(rep.full, region(Disk(ROOT12), Points((1.0,))))
@@ -432,7 +432,7 @@ def test_synthesize_eight_point(eight_point):
 
 def test_synthesize_square_root(square_root):
     rep = synthesize(square_root)
-    assert rep.type_class is TypeClass.HYPERBOLIC
+    assert analyze(square_root).type_class is TypeClass.HYPERBOLIC
     assert region_equal(rep.full, region(Disk(math.sqrt(2))))
     assert region_equal(rep.essential, region(Disk(math.sqrt(2))))
 
@@ -462,7 +462,7 @@ def test_synthesize_dilation_eigenvalue_powers():
         (SecondOrderData(1, 1, 100, 10500),),
         DenjoyWolffRecord(0, 0.9, Location.INTERIOR))
     rep = synthesize(s)
-    assert rep.type_class is TypeClass.DILATION
+    assert analyze(s).type_class is TypeClass.DILATION
     assert region_equal(rep.essential, region(Disk(0.1)))
     for k in range(22):  # 0.9^21 > 0.1 >= 0.9^22
         assert contains(rep.full, 0.9 ** k)
@@ -475,7 +475,7 @@ def test_synthesize_hyperbolic_rational():
     from compspec import RationalSymbol
     s = RationalSymbol((1, 3), (4,))
     rep = synthesize(s)
-    assert rep.type_class is TypeClass.HYPERBOLIC
+    assert analyze(s).type_class is TypeClass.HYPERBOLIC
     assert region_equal(rep.full, region(Disk(math.sqrt(4 / 3))))
     assert spectral_radius_check(rep, denjoy_wolff(s))
 

@@ -466,10 +466,11 @@ _LFT_CASES = {
                          _LFT_CASES.values(), ids=_LFT_CASES)
 def test_dw_of_in_scope_linear_fractional_maps(s, omega, derivative, tclass,
                                                regions):
-    report = synthesize(s)
-    assert abs(report.dw.omega - omega) < 1e-9
-    assert abs(report.dw.derivative - derivative) < 1e-9
-    assert report.type_class is tclass
+    a = analyze(s)
+    report, dw = synthesize(a), a.boundary.denjoy_wolff
+    assert abs(dw.omega - omega) < 1e-9
+    assert abs(dw.derivative - derivative) < 1e-9
+    assert a.type_class is tclass
     full, essential = regions if isinstance(regions, tuple) else (regions,) * 2
     assert region_equal(report.full, full)
     assert region_equal(report.essential, essential)
@@ -553,11 +554,16 @@ def test_certify_rejects_bad_margin():
 
 def test_boundary_data_dw_coherence():
     p = SecondOrderData(1, 1, 0.5, 0)
-    with pytest.raises(InvalidDataError):
-        # declared boundary DW point is not among the data points
+    with pytest.raises(InvalidDataError, match="^boundary DW point is not "
+                       "among the declared points$"):
         BoundaryDataSymbol((p,), DenjoyWolffRecord(-1, 0.5, Location.BOUNDARY))
-    with pytest.raises(InvalidDataError):
-        # derivative mismatch
+    with pytest.raises(InvalidDataError,
+                       match="^declared DW point is not fixed$"):
+        # 1 is declared, but maps to 1j, which is not
+        BoundaryDataSymbol((SecondOrderData(1, 1j, 0.5j, 0),),
+                           DenjoyWolffRecord(1, 0.5, Location.BOUNDARY))
+    with pytest.raises(InvalidDataError, match="^declared DW derivative "
+                       "disagrees with point data$"):
         BoundaryDataSymbol((p,), DenjoyWolffRecord(1, 0.25, Location.BOUNDARY))
 
 

@@ -53,7 +53,14 @@ symbol documents is built once, from this checkout's
 * two boundary-data documents that no self-map has, which the boundary
   Pick test rejects: the interior fixed point 0 with one boundary fixed
   point 1 where phi' = 0.5, and the boundary fixed points 1 (phi' =
-  0.5, the Denjoy-Wolff point) and -1 (phi' = 0.7).
+  0.5, the Denjoy-Wolff point) and -1 (phi' = 0.7);
+* matching at its tolerance edge: the boundary data of lollipop (a
+  parabolic Denjoy-Wolff point 1 and the fixed point -1), of two_cycle
+  (the 2-cycle 1 <-> -1 about the interior Denjoy-Wolff point 0), of
+  (1 + z^2)/2 (-1 a lead-in to the parabolic fixed point 1), in closed
+  form, and of the square_root golden, each as declared and with every
+  image (value, phi', phi'') and omega turned by 0.5 and by 2 times
+  ``MATCH_TOL`` = 1e-7: at 0.5 each match holds, at 2 each fails.
 
 For each tree a worker process imports ``compspec`` from the tree's
 ``src/`` and calls ``compspec.cli.main`` in-process for
@@ -103,6 +110,20 @@ TRUNCATE = ["--order", "32", "--out", "report.json"]
 RSM_ORDERS = (11, 17, 23)
 SPARSE_DEGREES = (16, 32, 64)
 TAIL_BASES = (0.5, -0.9, 0.999, 0.9j, 0.99 * cmath.exp(0.7j))
+MATCH_TOL = 1e-7   # compspec.config.MATCH_TOL
+# (zeta, value, phi', phi'') at each point, and (omega, phi'(omega),
+# location)
+EDGE_DATA = {
+    "lollipop": ([(1, 1, 1, 8), (-1, -1, 9, -80)], (1, 1, "boundary")),
+    "two_cycle": ([(1, -1, -5, -44), (-1, 1, -5, 44)],
+                  (0, -1 / 3, "interior")),
+    "lead_in": ([(1, 1, 1, 1), (-1, 1, -1, 1)], (1, 1, "boundary")),
+}
+
+
+def _pair(z) -> list:
+    z = complex(z)
+    return [z.real, z.imag]
 
 
 def _rational(num, den) -> dict:
@@ -117,6 +138,22 @@ def _rotated(num, den, theta: float) -> dict:
     w = cmath.exp(1j * theta)
     return _rational([w * c / w ** k for k, c in enumerate(num)],
                      [c / w ** k for k, c in enumerate(den)])
+
+
+def _boundary_doc(points, dw, angle: float = 0.0) -> dict:
+    """The boundary-data document of the points (zeta, value, phi',
+    phi'') and the Denjoy-Wolff record (omega, phi'(omega), location),
+    with each value, phi', phi'' and omega turned by e^{i angle}: the
+    data of e^{i angle} phi, whose images lie about angle off."""
+    w = cmath.exp(1j * angle)
+    omega, derivative, location = dw
+    return {"kind": "boundary-data",
+            "points": [{"zeta": _pair(z), "value": _pair(w * v),
+                        "d1": _pair(w * d1), "d2": _pair(w * d2)}
+                       for z, v, d1, d2 in points],
+            "denjoy_wolff": {"omega": _pair(w * omega),
+                             "derivative": _pair(derivative),
+                             "location": location}}
 
 
 def battery() -> dict[str, dict]:
@@ -217,6 +254,17 @@ def battery() -> dict[str, dict]:
                     "d1": [0.7, 0], "d2": [0, 0]}],
         "denjoy_wolff": {"omega": [1, 0], "derivative": [0.5, 0],
                          "location": "boundary"}}
+    golden, golden_dw = (docs["golden-square_root"][key]
+                         for key in ("points", "denjoy_wolff"))
+    edge = {**EDGE_DATA, "square_root": (
+        [[complex(*p[key]) for key in ("zeta", "value", "d1", "d2")]
+         for p in golden],
+        (complex(*golden_dw["omega"]), complex(*golden_dw["derivative"]),
+         golden_dw["location"]))}
+    for name, (points, dw) in edge.items():
+        for label, angle in (("exact", 0.0), ("half", 0.5 * MATCH_TOL),
+                             ("twice", 2.0 * MATCH_TOL)):
+            docs[f"edge-{name}-{label}"] = _boundary_doc(points, dw, angle)
     return docs
 
 
