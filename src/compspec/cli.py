@@ -29,9 +29,9 @@ only the stdlib, ``config`` and ``errors``, so ``lemma-check`` loads
 :mod:`compspec.algebra_lab` alone and the symbol subcommands never load
 it.
 
-There are no tolerance flags: the thresholds ``EPS`` = 1e-9 and
-``MATCH_TOL`` = 1e-7 of :mod:`compspec.config` are what an answer is
-certified against, so they are fixed.
+There are no tolerance flags: the thresholds ``EPS`` = 1e-9,
+``MATCH_TOL`` = 1e-7 and ``REAL_TOL`` = 1e-8 of :mod:`compspec.config`
+are what an answer is certified against, so they are fixed.
 
 Exit codes: 0 success, 1 hard error (nothing written), 2 out-of-scope
 rejection (a report with the rejection certificate is still emitted),

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import EPS
+from .config import EPS, MATCH_TOL, REAL_TOL
 from .dynamics import OrbitPartition, rho
 from .errors import InvalidDataError, NotCertifiedError
 from .mobius import (MobiusMap, _finite, derivative, fixed_points,
@@ -276,8 +276,8 @@ def lft_spectra(psi: MobiusMap):
     if fps is IDENTITY_FIXED:
         raise InvalidDataError("identity symbol is an automorphism")
     finite = [p for p in fps if p is not AT_INFINITY]
-    boundary = [p for p in finite if abs(abs(p) - 1.0) <= 1e-7]
-    interior = [p for p in finite if abs(p) < 1.0 - 1e-7]
+    boundary = [p for p in finite if abs(abs(p) - 1.0) <= MATCH_TOL]
+    interior = [p for p in finite if abs(p) < 1.0 - MATCH_TOL]
     interior_dw = [p for p in interior if abs(derivative(psi, p)) < 1.0 - EPS]
     if interior_dw:
         if not boundary:
@@ -296,9 +296,9 @@ def lft_spectra(psi: MobiusMap):
     if not boundary:
         raise InvalidDataError("no Denjoy-Wolff candidate found")
     # boundary Denjoy-Wolff point: derivative real in (0, 1]
-    cands = [p for p in boundary
-             if abs(derivative(psi, p).imag) <= 1e-8
-             and 0 < derivative(psi, p).real <= 1.0 + EPS]
+    cands = [p for p, dp in ((p, derivative(psi, p)) for p in boundary)
+             if abs(dp.imag) <= REAL_TOL * max(1.0, abs(dp))
+             and 0 < dp.real <= 1.0 + EPS]
     if not cands:
         raise InvalidDataError(
             f"no boundary fixed point with derivative in (0, 1]: {boundary}")

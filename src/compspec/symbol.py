@@ -56,7 +56,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .config import EPS, MATCH_TOL, PICK_FACTOR
+from .config import EPS, MATCH_TOL, PICK_FACTOR, REAL_TOL
 from .errors import (InvalidDataError, NotInScopeError, RootFindingError)
 from .mobius import SecondOrderData, _finite
 
@@ -73,10 +73,6 @@ __all__ = [
 ]
 
 DEGREE_CAP = 64
-# candidates this far inside the circle are treated as interior; boundary
-# roots of the fixed-point polynomial can be off by ~sqrt(machine eps) in
-# the parabolic (double-root) case, so the margin must dominate that
-_INTERIOR_MARGIN = 1e-4
 # how far roundoff may move a multiple root of H: a root this close to
 # the circle is a critical point of T, and a run of critical points this
 # close to its middle is one multiple root, split
@@ -545,56 +541,75 @@ def _certificate(points, multiplicities, *notes: str) -> S2Certificate:
     return S2Certificate(all(c.ok for c in checks), tuple(checks), notes)
 
 
+def _without_double_root(f: np.ndarray, zeta: complex) -> np.ndarray:
+    """f / (z - zeta)^2 when both remainders of synthetic division by
+    z - zeta are at most EPS max|f|, else f: zeta is then a double root
+    of f up to roundoff.  The division runs on Python scalars, like the
+    jet."""
+    if f.size < 3:
+        return f
+    q = f[::-1].tolist()      # highest power first
+    tol = EPS * max(map(abs, q))
+    for _ in range(2):
+        for k in range(1, len(q)):
+            q[k] += zeta * q[k - 1]
+        if abs(q.pop()) > tol:
+            return f
+    return np.array(q[::-1])
+
+
 def _rational_denjoy_wolff(s: RationalSymbol, points) -> DenjoyWolffRecord:
     """Denjoy-Wolff point of a rational symbol, given the second-order
     data at its contact points, read off the roots of N - zD alone: the
     attracting fixed point inside the disk, else the boundary fixed
-    point with phi' <= 1 (Schwarz, Denjoy-Wolff, Julia-Caratheodory)."""
+    point with phi' <= 1 (Schwarz, Denjoy-Wolff, Julia-Caratheodory).
+
+    Every boundary fixed point is a contact point whose value matches
+    it within ``MATCH_TOL``.  Where one is a double root of N - zD (phi'
+    = 1 there, the parabolic case), it is divided out before the roots
+    are found, since roundoff would split it by about sqrt(roundoff).
+    Each root then left inside 1 - EPS is Newton-polished on phi(z) - z,
+    and must land inside 1 - EPS with |phi'| < 1 - EPS: a fixed point
+    there that does not attract makes phi' > 1 at every boundary fixed
+    point (Julia's lemma), so no answer would be right."""
     n, d = s._polys.n, s._polys.d
     # N(z) - z D(z); the zero below z D is written d[0] * 0, as polymulx does
     f = _trim(_sub(n, np.concatenate(([d[0] * 0], d))))
     if f.size <= 1:
         raise RootFindingError("fixed-point polynomial is degenerate")
+    fixed = [p for p in points if abs(p.value - p.zeta) <= MATCH_TOL]
+    for data in fixed:
+        f = _without_double_root(f, data.zeta)
     roots = _roots(f)
-    band = 1e-6     # root-finding slack about the circle
-    cands = roots[np.abs(roots) <= 1.0 + band]
-    interior = [complex(r) for r in cands if abs(r) < 1.0 - _INTERIOR_MARGIN]
     found = []
-    for r in interior:
+    for z in roots[np.abs(roots) < 1.0 - EPS].tolist():
         # Newton polish on phi(z) - z (simple root when |phi'| < 1)
-        z = r
-        f, f1 = s._jet(2, z)
+        w, w1 = s._jet(2, z)
         for _ in range(50):
-            step = (f - z) / (f1 - 1.0)
+            step = (w - z) / (w1 - 1.0)
             z -= step
-            f, f1 = s._jet(2, z)
+            w, w1 = s._jet(2, z)
             if abs(step) < 1e-15:
                 break
-        if abs(f1) < 1.0 - EPS and abs(z) < 1.0 - EPS:
-            found.append(DenjoyWolffRecord(z, f1, Location.INTERIOR))
+        if not (abs(z) < 1.0 - EPS and abs(w1) < 1.0 - EPS):
+            raise RootFindingError(
+                f"a root of N - zD inside the disk polishes to {z}, which "
+                f"does not attract: |phi'| = {abs(w1)!r}")
+        found.append(DenjoyWolffRecord(z, w1, Location.INTERIOR))
     if len(found) > 1:
         raise RootFindingError(
             f"multiple interior DW candidates: {[f_.omega for f_ in found]}")
     if not found:
-        # a fixed point inside the disk that does not attract makes
-        # phi' > 1 at every boundary fixed point (Julia's lemma), so
-        # the boundary cannot hold the Denjoy-Wolff point either
-        inside = [complex(r) for r in cands if abs(r) < 1.0 - band]
-        if inside:
-            raise RootFindingError(
-                "fixed points inside the disk are not attracting: "
-                f"{inside}")
-        # snap near-circle roots to fixed contact points
-        for data in points:
-            if abs(data.value - data.zeta) <= MATCH_TOL:
-                dp = data.d1
-                if abs(dp.imag) <= 1e-8 * max(1.0, abs(dp)) and 0 < dp.real <= 1.0 + EPS:
-                    found.append(DenjoyWolffRecord(
-                        data.zeta, min(dp.real, 1.0), Location.BOUNDARY))
+        for data in fixed:
+            dp = data.d1
+            if (abs(dp.imag) <= REAL_TOL * max(1.0, abs(dp))
+                    and 0 < dp.real <= 1.0 + EPS):
+                found.append(DenjoyWolffRecord(
+                    data.zeta, min(dp.real, 1.0), Location.BOUNDARY))
         if len(found) != 1:
             raise RootFindingError(
                 "no unique root satisfies the Denjoy-Wolff characterization; "
-                f"fixed-point candidates: {list(cands)}")
+                f"boundary fixed points: {[p.zeta for p in fixed]}")
     return found[0]
 
 

@@ -450,7 +450,8 @@ _LFT_CASES = {
     **{f"parabolic-{t}-{theta}": (
         _parabolic(t, theta), cmath.exp(1j * theta), 1.0,
         TypeClass.PARABOLIC_NON_AUTOMORPHISM, region(Spiral(t)))
-       for t in (2, 1, 0.5, 0.1, 0.01, 3e-4) for theta in (0, 2.5)},
+       for t in (2, 1, 0.5, 0.1, 0.01, 3e-4, 1e-4, 3e-5, 1e-5, 1e-6)
+       for theta in (0, 2.5)},
     **{f"hyperbolic-{p}": (_hyperbolic(p), 1.0, p, TypeClass.HYPERBOLIC,
                            region(Disk(1.0 / math.sqrt(p))))
        for p in (0.5, 0.99, 0.999)},
@@ -476,6 +477,17 @@ def test_dw_of_in_scope_linear_fractional_maps(s, omega, derivative, tclass,
     assert region_equal(report.essential, essential)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.floats(-6.0, math.log10(2.0)), st.floats(0.0, 2.0 * math.pi))
+def test_parabolic_maps_give_their_spiral(log_t, theta):
+    # the double root of N - zD at omega is divided out, so no root
+    # that roundoff split off it is left to stop the search
+    t = 10.0 ** log_t
+    a = analyze(_parabolic(t, theta))
+    assert a.type_class is TypeClass.PARABOLIC_NON_AUTOMORPHISM
+    assert region_equal(synthesize(a).full, region(Spiral(t)))
+
+
 def _oracle_dw(s):
     """Denjoy-Wolff point of a linear-fractional map, from its double
     coefficients in 50-digit arithmetic: the fixed point where |phi'| is
@@ -492,10 +504,15 @@ def _oracle_dw(s):
 # fixed points 1 - d (multiplier 1 - e) and 1: an interior fixed point
 # that attracts or repels barely, next to a boundary one.  At d = 2e-4,
 # e = 1e-11, phi'(1) = 1 + 1e-11 passes as a boundary Denjoy-Wolff point
-# at EPS, though 1 - 2e-4 attracts: the interior root must stop the search
+# at EPS, though 1 - 2e-4 attracts: the interior root must stop the
+# search.  At d <= 2e-6 and e <= 1e-10, 1 - d lies so close to 1 that
+# the pair looks like a split double root: the answer is never a
+# parabolic one at 1
 _GRID = [(d, e, (0.0, 2.5)[(i + j) % 2])
          for i, d in enumerate((1e-7, 1e-5, 1e-4, 2e-4, 1e-3, 1e-2, 1e-1))
-         for j, e in enumerate((0.5, 1e-4, 1e-9, 1e-10, 1e-11, -1e-9))]
+         for j, e in enumerate((0.5, 1e-4, 1e-9, 1e-10, 1e-11, -1e-9))] + [
+    (d, e, theta) for d in (4e-7, 5e-7, 8e-7, 2e-6) for e in (1e-10, 1e-11)
+    for theta in (0.0, 2.5)]
 
 
 @pytest.mark.parametrize("d,e,theta", _GRID)
@@ -506,6 +523,18 @@ def test_dw_agrees_with_the_oracle_or_is_a_typed_error(d, e, theta):
     except CompspecError:
         return
     assert abs(omega - _oracle_dw(s)) <= 1e-6
+
+
+@pytest.mark.parametrize("e", (1e-2, 1e-4))
+@pytest.mark.parametrize("theta", (0.0, 2.5))
+def test_interior_fixed_point_next_to_the_boundary_one_attracts(e, theta):
+    # 1 - d attracts with phi' = 1 - e however close it lies to the
+    # boundary fixed point 1, where phi' = 1 / (1 - e) > 1
+    for d in np.logspace(-6, -1, 11):
+        s = _two_fixed_points(d, e, theta)
+        a = analyze(s)
+        assert a.type_class is TypeClass.DILATION
+        assert abs(a.boundary.denjoy_wolff.omega - _oracle_dw(s)) <= 1e-6
 
 
 def test_dw_record_validation():

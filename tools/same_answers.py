@@ -19,6 +19,10 @@ symbol documents is built once, from this checkout's
   {0.5, 1e-2, 1e-4, 1e-9, 1e-11, -1e-9}, each conjugated by two
   rotations: an interior fixed point that attracts or repels barely,
   next to a boundary one;
+* the same maps for d in {4e-7, 5e-7, 6.3e-7, 8e-7, 2e-6} and e in
+  {1e-10, 1e-11}, each conjugated by two rotations: an interior fixed
+  point whose |phi'| lies within EPS of 1, this close to the boundary
+  one, is a typed error, not a parabolic answer at 1;
 * ``gen.hyperbolic`` at degrees 1-4 with phi'(1) in
   {0.5, 0.9, 0.99, 0.999, 0.9999};
 * three rotations of the lollipop golden;
@@ -186,12 +190,16 @@ def battery() -> dict[str, dict]:
         for j, theta in enumerate(ROTATIONS):
             docs[f"parabolic-{t:g}-r{j}"] = _rotated(
                 (t, 2.0 - t), (2.0 + t, -t), theta)
-    for i in range(13):
-        d = 10.0 ** (-7.0 + i / 2)
-        for j, e in enumerate((0.5, 1e-2, 1e-4, 1e-9, 1e-11, -1e-9)):
-            for r, theta in enumerate(ROTATIONS[:2]):
-                docs[f"twofixed-{i:02d}-{j}-r{r}"] = _rotated(
-                    (-(1 - d) * e, e - d), (-(d + e - d * e), e), theta)
+    twofixed = [(f"{i:02d}-{j}", 10.0 ** (-7.0 + i / 2), e)
+                for i in range(13)
+                for j, e in enumerate((0.5, 1e-2, 1e-4, 1e-9, 1e-11, -1e-9))]
+    twofixed += [(f"near-{d:g}-{e:g}", d, e)
+                 for d in (4e-7, 5e-7, 6.3e-7, 8e-7, 2e-6)
+                 for e in (1e-10, 1e-11)]
+    for name, d, e in twofixed:
+        for r, theta in enumerate(ROTATIONS[:2]):
+            docs[f"twofixed-{name}-r{r}"] = _rotated(
+                (-(1 - d) * e, e - d), (-(d + e - d * e), e), theta)
     for k in range(1, 5):
         for p in (0.5, 0.9, 0.99, 0.999, 0.9999):
             docs[f"hyperbolic{k}-{p}"] = gen.hyperbolic(
