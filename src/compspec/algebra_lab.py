@@ -11,6 +11,17 @@ union (ta, cta, and lip, whose lead-in summand is square-zero); and
 the cyclic root spectral mapping (rsm, and n2c, the square-zero pair,
 as its n = 2 case).
 
+Each summand's block b_j reads one source block of columns C_j, and
+no two summands share one, so W = S sum_j b_j is S b_j on C_j,
+exactly, and a_j is formed as W[:, C_j] S^-1[C_j, :]: the bits of S
+b_j S^-1, from one dense product per family and one thin one per
+summand.  The required products a_i a_j are then bounded, not formed:
+two summands that share a source block are a construction bug, and
+one product P_i = a_i W per left factor a_i bounds every required
+a_i a_j, to within its roundoff, by ||P_i[:, C_j]|| ||S^-1[C_j, :]||
+(see _product_bounds).  A bound above CONSTRUCTION_TOL max(1,
+||a_i|| ||a_j||) is a construction bug.
+
 A similarity candidate S is accepted when cond_2(S) < 100.  Every
 candidate is inverted first, and ||S||_F ||S^-1||_F bounds cond_2(S)
 from above, so only the candidates that bound fails to prove get an
@@ -39,6 +50,7 @@ Frobenius norms involved.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 
 import numpy as np
@@ -60,6 +72,11 @@ SET_MATCH_TOL = 1e-7
 STACK_TRIALS = 8
 STACK_BYTES = 4 * 2 ** 20
 SIMILARITY_DRAWS = 50
+# a required product a_i a_j passes the construction check when a bound
+# on its norm is at most this times max(1, ||a_i|| ||a_j||): far above
+# the bound's roundoff (about order eps), far below a genuinely nonzero
+# product of unit-scale blocks
+CONSTRUCTION_TOL = 1e-10
 
 
 class Pattern(str, enum.Enum):
@@ -105,9 +122,9 @@ def _required_zero_pairs(pattern: Pattern, n: int):
 def _supports(pattern: Pattern, n: int):
     """(source_block, target_blocks) per matrix, and the block count.
 
-    a_j is nonzero only on rows in its target blocks and columns in its
-    source block, so a_i a_j = 0 exactly when the targets of a_j miss
-    the source of a_i.
+    a_j is nonzero only on rows in its target blocks, which are
+    consecutive, and columns in its source block, so a_i a_j = 0 exactly
+    when the targets of a_j miss the source of a_i.
     """
     if pattern is Pattern.ONE_WAY:
         # chain: a_j acts on V_j, leaking into V_{j+1}; products vanish
@@ -122,15 +139,11 @@ def _supports(pattern: Pattern, n: int):
     raise InvalidDataError(f"unknown pattern {pattern}")
 
 
-def _complex(pair: np.ndarray) -> np.ndarray:
-    """Complex matrices from (..., 2, rows, cols) real and imaginary
-    parts."""
-    return pair[..., 0, :, :] + 1j * pair[..., 1, :, :]
-
-
 def _similarity_candidate(pair: np.ndarray) -> np.ndarray:
+    """Candidates from (..., 2, order, order) real and imaginary parts."""
     order = pair.shape[-1]
-    return _complex(pair) / np.sqrt(2.0 * order) + np.eye(order)
+    z = pair[..., 0, :, :] + 1j * pair[..., 1, :, :]
+    return z / np.sqrt(2.0 * order) + np.eye(order)
 
 
 def _well_conditioned(s: np.ndarray, s_inv: np.ndarray) -> np.ndarray:
@@ -172,26 +185,34 @@ def _make_stack(pattern: Pattern | str, n: int, order: int, seeds):
     if n < 2:
         raise InvalidDataError("need at least two matrices")
     supports, nblocks = _supports(pattern, n)
+    sources = [src for src, _ in supports]
+    if len(set(sources)) < n:
+        raise RootFindingError(
+            f"construction bug: summands share a source block ({sources})")
     if order < nblocks:
         raise InvalidDataError(
             f"order {order} too small for {nblocks} blocks")
     if order > MAX_ORDER:
         raise InvalidDataError(f"order exceeds cap {MAX_ORDER}")
-    index = np.array_split(np.arange(order), nblocks)
-    spans = [(np.concatenate([index[t] for t in targets]), index[src])
-             for src, targets in supports]
+    # block k spans [edges[k], edges[k + 1]), cut as np.array_split cuts
+    q, r = divmod(order, nblocks)
+    edges = [k * q + min(k, r) for k in range(nblocks + 1)]
+    spans = [(slice(edges[targets[0]], edges[targets[-1] + 1]),
+              slice(edges[src], edges[src + 1])) for src, targets in supports]
     # each trial's draws: every block, then its first similarity
     # candidate, as (2, rows, cols) real and imaginary parts
-    shapes = [(2, rows.size, cols.size) for rows, cols in spans]
+    shapes = [(2, rows.stop - rows.start, cols.stop - cols.start)
+              for rows, cols in spans]
     shapes.append((2, order, order))
-    sizes = [math.prod(shape) for shape in shapes]
+    ends = list(itertools.accumulate(map(math.prod, shapes)))
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    draws = np.array([rng.normal(size=sum(sizes)) for rng in rngs])
-    pairs = [part.reshape(len(seeds), *shape) for part, shape in
-             zip(np.split(draws, np.cumsum(sizes)[:-1], axis=1), shapes)]
+    draws = np.array([rng.normal(size=ends[-1]) for rng in rngs])
+    pairs = [draws[:, end - math.prod(shape): end].reshape(len(seeds), *shape)
+             for end, shape in zip(ends, shapes)]
     blocks = np.zeros((len(seeds), n, order, order), dtype=complex)
     for j, (rows, cols) in enumerate(spans):
-        blocks[:, j, rows[:, None], cols] = _complex(pairs[j])
+        blocks.real[:, j, rows, cols] = pairs[j][:, 0]
+        blocks.imag[:, j, rows, cols] = pairs[j][:, 1]
     s = _similarity_candidate(pairs[-1])
     s_inv = np.linalg.inv(s)
     redrawn = np.flatnonzero(~_well_conditioned(s, s_inv))
@@ -199,8 +220,12 @@ def _make_stack(pattern: Pattern | str, n: int, order: int, seeds):
         s[t] = _redraw_similarity(order, rngs[t])
     if redrawn.size:
         s_inv[redrawn] = np.linalg.inv(s[redrawn])
-    mats = s[:, None] @ blocks @ s_inv[:, None]
-    _verify_products(mats, pattern, seeds)
+    # the source blocks are distinct, so W is S b_j on C_j, exactly
+    w = s @ blocks.sum(axis=1)
+    mats = np.empty_like(blocks)
+    for j, (_, cols) in enumerate(spans):
+        np.matmul(w[:, :, cols], s_inv[:, cols], out=mats[:, j])
+    _check_products(mats, w, s_inv, edges, sources, pattern, seeds)
     return mats, blocks
 
 
@@ -212,17 +237,56 @@ def make_family(pattern: Pattern | str, n: int, order: int,
     return _make_stack(pattern, n, order, [seed])[0][0]
 
 
-def _verify_products(mats: np.ndarray, pattern: Pattern, seeds):
+def _product_bounds(mats, norms, w, s_inv, edges, sources,
+                    pairs) -> np.ndarray:
+    """Upper bounds, (trials, len(pairs)), on ||a_i a_j||_F for the
+    exact products of the stored matrices of a stack built by
+    _make_stack, from one product P_i = a_i W per left factor i; norms
+    are the ||a_j||_F, (trials, n).
+
+    a_i a_j = P_i[:, C_j] S^-1[C_j, :] up to the rounding of a_j and
+    of P_i, each at most gamma_k |x||y| for a k-term complex product
+    (Higham, Accuracy and Stability, 3.5-3.6), so
+    ||a_i a_j|| <= ||P_i[:, C_j]|| ||S^-1[C_j, :]|| + (order + |C_j| +
+    2) eps ||a_i|| ||W[:, C_j]|| ||S^-1[C_j, :]||.  Squared norms are
+    summed per column (row), over real and imaginary parts as floats,
+    then over each block by np.add.reduceat."""
+    trials, n, order = mats.shape[:3]
+    # squared norms per column and part: rows 0..n-1 of P_i, row n of
+    # W, and row n + 1 of the rows of S^-1, at even places
+    sq = np.zeros((trials, n + 2, 2 * order))
+    for k in {i for i, _ in pairs}:
+        p = (mats[:, k] @ w).view(float)
+        np.einsum("...ij,...ij->...j", p, p, out=sq[:, k])
+    np.einsum("...ij,...ij->...j", w.view(float), w.view(float),
+              out=sq[:, n])
+    np.einsum("...ij,...ij->...i", s_inv.view(float), s_inv.view(float),
+              out=sq[:, n + 1, ::2])
+    blk = np.sqrt(np.add.reduceat(sq, [2 * e for e in edges[:-1]], axis=-1))
+    eps = np.finfo(float).eps
+    slack = np.array([(order + b - a + 2) * eps
+                      for a, b in itertools.pairwise(edges)])
+    # (trials, left factor, source block), then one gather of the pairs
+    grid = (blk[:, :n] + slack * norms[..., None] * blk[:, n, None]) \
+        * blk[:, n + 1, None]
+    i, j = np.array(pairs).T
+    return grid[:, i, np.array(sources)[j]]
+
+
+def _check_products(mats, w, s_inv, edges, sources, pattern, seeds):
+    """Raise when a required product a_i a_j may not vanish: its bound
+    passes CONSTRUCTION_TOL max(1, ||a_i|| ||a_j||)."""
+    pairs = _required_zero_pairs(pattern, mats.shape[1])
     norms = _norms(mats)
-    for i, j in _required_zero_pairs(pattern, mats.shape[1]):
-        scale = np.maximum(1.0, norms[:, i] * norms[:, j])
-        err = _norms(mats[:, i] @ mats[:, j])
-        bad = np.flatnonzero(err > 1e-10 * scale)
-        if bad.size:
-            t = bad[0]
-            raise RootFindingError(
-                f"construction bug: product a_{i} a_{j} has norm {err[t]} "
-                f"(seed {seeds[t]})")
+    bounds = _product_bounds(mats, norms, w, s_inv, edges, sources, pairs)
+    i, j = np.array(pairs).T
+    scale = np.maximum(1.0, norms[:, i] * norms[:, j])
+    bad = bounds > CONSTRUCTION_TOL * scale
+    if bad.any():
+        k, t = np.argwhere(bad.T)[0]
+        raise RootFindingError(
+            f"construction bug: product a_{i[k]} a_{j[k]} has norm up to "
+            f"{bounds[t, k]} (seed {seeds[t]})")
 
 
 # ----------------------------------------------------------------------

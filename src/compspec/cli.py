@@ -372,7 +372,11 @@ def _boundary(doc, a: Analysis) -> tuple:
 
 def cmd_lemma_check(args) -> int:
     from .algebra_lab import family_size, run_checker
+    # --n is checked only where it sets the family size
     n = family_size(args.lemma, args.n)
+    if n < 2 or args.order < 1 or args.trials < 1 or args.seed < 0:
+        sys.stderr.write("error: invalid lemma-check flag ranges\n")
+        return EXIT_USAGE
     ok, failing = run_checker(args.lemma, n, args.order, args.trials,
                               args.seed)
     out = {"schema": SCHEMA, "lemma": args.lemma, "n": n,
@@ -486,12 +490,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
-        if args.command == "lemma-check":
-            bad = (args.n < 2 or args.order < 1 or args.trials < 1
-                   or args.seed < 0)
-            if bad:
-                sys.stderr.write("error: invalid lemma-check flag ranges\n")
-                return EXIT_USAGE
         return args.func(args)
     except CompspecError as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")

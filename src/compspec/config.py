@@ -33,12 +33,24 @@ the relative form.  The boundary Denjoy-Wolff candidates of
 ``_rational_denjoy_wolff`` and of ``spectrum.lft_spectra`` use it; both
 accept only Re phi' <= 1 + ``EPS`` as well.
 
+``CONTACT_TOL`` is how close to 1 |phi| must be at a circle critical
+point of T = |N|^2 - |D|^2 for the point to lie in a contact (1e-8).
+At a true contact |phi| = 1, and the computed critical point misses it
+only by roundoff: a simple root of H by about eps in angle, a root of
+H of multiplicity k, split, by about eps^(1/k), which moves |phi| by
+the (k + 1)th power of that, so by no more than about eps.  The
+tolerance sits well above that and below the depth of |phi| between
+distinct contacts of the maps in scope.  A gap between two contacts
+whose |phi| dips less than ``CONTACT_TOL`` below 1 is not resolved:
+the two contacts merge into one of higher multiplicity.  The same
+tolerance confirms each located contact, at its polished point.
+
 A boundary-data document is rejected when its boundary Pick matrix P
 has an eigenvalue below ``-PICK_FACTOR * EPS * ||P||_2``: no self-map
 has such data.  The factor leaves room for data that are consistent
 only to within ``EPS`` per entry.
 
-All four are constants, not settings: they are the thresholds a certified
+All five are constants, not settings: they are the thresholds a certified
 answer is certified against, so loosening them would turn a rejection
 into a wrong answer.
 """
@@ -46,4 +58,5 @@ into a wrong answer.
 EPS = 1e-9
 MATCH_TOL = 1e-7
 REAL_TOL = 1e-8
+CONTACT_TOL = 1e-8
 PICK_FACTOR = 10

@@ -20,10 +20,10 @@ H = z G' - deg G, where G = N N~ - D D~ (P~(z) = z^deg conj(P)(1/z)) and
 T(theta) = e^{-i deg theta} G(e^{i theta}).  phi is a self-map when
 |phi| <= 1 + EPS there and at z = 1.  T is monotone between critical
 points, so a contact is a maximal cyclic run of them where |phi| = 1 to
-1e-8, of multiplicity run length + 1 (an order-2 contact is a simple
-root of H).  A longer run within 1e-3 of its middle is one multiple
-root of H, split by roundoff; its mean angle is the root to about
-roundoff, as the cluster's odd terms cancel.  Any other run is
+CONTACT_TOL, of multiplicity run length + 1 (an order-2 contact is a
+simple root of H).  A longer run within 1e-3 of its middle is one
+multiple root of H, split by roundoff; its mean angle is the root to
+about roundoff, as the cluster's odd terms cancel.  Any other run is
 Newton-polished on d/dtheta |phi|^2 from its middle.
 
 Each polynomial root (of D, of H and of N - zD) comes from one
@@ -56,7 +56,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .config import EPS, MATCH_TOL, PICK_FACTOR, REAL_TOL
+from .config import CONTACT_TOL, EPS, MATCH_TOL, PICK_FACTOR, REAL_TOL
 from .errors import (InvalidDataError, NotInScopeError, RootFindingError)
 from .mobius import SecondOrderData, _finite
 
@@ -502,7 +502,7 @@ def contact_points(s: RationalSymbol) -> list[ContactPoint]:
     """Contact points of a rational symbol by angle in [0, 2 pi), with
     their multiplicities: the contact-locating step of :func:`analyze`."""
     crit = s._polys.critical
-    on = [abs(v - 1.0) < 1e-8 for v in s._polys.modulus.tolist()]
+    on = [abs(v - 1.0) < CONTACT_TOL for v in s._polys.modulus.tolist()]
     # start the cycle off every run
     start = on.index(False) if False in on else 0
     cycle = itertools.chain(range(start, len(on)), range(start))
@@ -516,7 +516,7 @@ def contact_points(s: RationalSymbol) -> list[ContactPoint]:
         # components below 1e-15 are roundoff of an exact zero (as in
         # Im e^{i pi}), and their sign differs between platforms
         z = complex(*(0.0 if abs(x) < 1e-15 else x for x in (z.real, z.imag)))
-        if abs(abs(s._jet(1, z)[0]) - 1.0) < 1e-8:
+        if abs(abs(s._jet(1, z)[0]) - 1.0) < CONTACT_TOL:
             contacts.append(ContactPoint(z, len(run) + 1))
     contacts.sort(key=lambda cp: cmath.phase(cp.zeta) % (2.0 * np.pi))
     return contacts

@@ -19,7 +19,7 @@ from compspec.algebra_lab import (Pattern, eigenvalues, make_family,
                                   _make_stack, _match, _nonzero,
                                   _required_zero_pairs, _rsm, _scaled_tol,
                                   _similarity_candidate, _supports,
-                                  _trial_seed, _union_flc, _verify_products,
+                                  _trial_seed, _union_flc,
                                   _well_conditioned)
 from compspec.errors import InvalidDataError, RootFindingError
 from conftest import count_calls, perfbench_gen
@@ -87,11 +87,24 @@ def test_required_products_vanish(pattern, n):
             1.0, np.linalg.norm(a) * np.linalg.norm(b))
 
 
-def test_nonzero_required_product_is_a_construction_bug():
-    shift = np.diag(np.ones(3, dtype=complex), 1)   # shift @ shift != 0
-    stack = np.stack([shift, shift.T])[None]
-    with pytest.raises(RootFindingError, match="a_0 a_0"):
-        _verify_products(stack, NILPOTENT_PAIR, (0,))
+def test_nonzero_required_product_is_a_construction_bug(monkeypatch):
+    # two-sided supports map each block to itself, so a_0 a_0 != 0,
+    # which the cyclic pair requires to vanish
+    two_sided = _supports(Pattern.TWO_SIDED, 2)
+    monkeypatch.setattr(al, "_supports", lambda pattern, n: two_sided)
+    with pytest.raises(RootFindingError,
+                       match=r"construction bug: product a_0 a_0 .*seed 7"):
+        _make_stack(NILPOTENT_PAIR, 2, 8, [7])
+
+
+def test_shared_source_block_is_a_construction_bug(monkeypatch):
+    # both summands read block 0 and write block 1, so every product
+    # vanishes, but a_0 is no longer W = S (b_0 + b_1) on its columns
+    monkeypatch.setattr(al, "_supports",
+                        lambda pattern, n: ([(0, [1]), (0, [1])], 2))
+    with pytest.raises(RootFindingError,
+                       match="construction bug: summands share a source"):
+        _make_stack(Pattern.ONE_WAY, 2, 8, [0])
 
 
 def test_non_required_products_nonzero():
@@ -171,6 +184,28 @@ def test_stacked_families_are_the_single_families(pattern, n, order, trials):
         ref, ref_blocks = _loop_family(pattern, n, order, seed)
         assert np.array_equal(alone, ref)
         assert np.array_equal(blocks[t], ref_blocks)
+
+
+@pytest.mark.parametrize("pattern,n,order", SHAPES)
+def test_product_bounds_cover_the_required_products(pattern, n, order,
+                                                    monkeypatch):
+    # each bound is at least the product formed directly, and passes
+    recorded = []
+    bounds = al._product_bounds
+    monkeypatch.setattr(al, "_product_bounds",
+                        lambda *args: recorded.append(bounds(*args))
+                        or recorded[-1])
+    seeds = [_trial_seed(0, t) for t in range(STACK_TRIALS)]
+    mats, _ = _make_stack(pattern, n, order, seeds)
+    [bound] = recorded
+    pairs = _required_zero_pairs(pattern, n)
+    assert bound.shape == (len(seeds), len(pairs))
+    for k, (i, j) in enumerate(pairs):
+        for t in range(len(seeds)):
+            a, b = mats[t, i], mats[t, j]
+            scale = max(1.0, np.linalg.norm(a) * np.linalg.norm(b))
+            assert (np.linalg.norm(a @ b) <= bound[t, k]
+                    <= al.CONSTRUCTION_TOL * scale)
 
 
 @pytest.mark.parametrize("order", [16, 24])

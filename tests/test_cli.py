@@ -642,7 +642,16 @@ def test_build_parser_returns_a_fresh_parser():
 
 def test_lemma_check_flag_ranges(capsys):
     assert run(["lemma-check", "--lemma", "ta", "--trials", "0"]) == 64
+    assert run(["lemma-check", "--lemma", "cta", "--n", "1"]) == 64
     capsys.readouterr()
+
+
+def test_lemma_check_fixed_size_ignores_n(tmp_path):
+    # fl fixes the family size at 2, so --n 1 is not out of range
+    out = tmp_path / "summary.json"
+    assert run(["lemma-check", "--lemma", "fl", "--n", "1", "--trials", "1",
+                "--out", out]) == 0
+    assert json.loads(out.read_text())["n"] == 2
 
 
 def test_lemma_check_order_cap_exit_1(tmp_path, capsys):

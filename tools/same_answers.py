@@ -75,9 +75,11 @@ writes, and ``truncate --order 32 --out`` on every rational one (so its
 also runs a ``lemma-check --out`` battery: the benchmark's suites
 (``perfbench/run.py`` ``LEMMA_SUITES``, at its trials per request),
 rsm with n = 5 at orders 11, 17 and 23, where the order is not
-divisible by n, and rsm with n = 8 at order 40, where some products
-have genuine eigenvalues below their matching tolerance, each at master
-seeds 0-3.  Every difference in exit code, stdout, stderr, report bytes
+divisible by n, rsm with n = 8 at order 40, where some products
+have genuine eigenvalues below their matching tolerance, and cta with
+n = 8 at order 40 and flc with n = 16 at order 64, whose families have
+the most required products per left factor (56 products from 8 left
+factors, 120 from 15), each at master seeds 0-3.  Every difference in exit code, stdout, stderr, report bytes
 or SVG bytes is printed (an uncaught exception counts as exit 1, with
 its type and message as stderr), then one count per command and field
 that differs, then the total; the exit status is 0 when there is no
@@ -282,7 +284,7 @@ def lemma_runs() -> dict[str, list[str]]:
     from run import LEMMA_SPLIT, LEMMA_SUITES, LEMMA_TRIALS
 
     shapes = (LEMMA_SUITES + [("rsm", 5, order) for order in RSM_ORDERS]
-              + [("rsm", 8, 40)])
+              + [("rsm", 8, 40), ("cta", 8, 40), ("flc", 16, 64)])
     trials = LEMMA_TRIALS // LEMMA_SPLIT
     return {f"lemma-{lemma}-n{n}-o{order}-s{seed}": [
         "lemma-check", "--lemma", lemma, "--n", str(n), "--order",
