@@ -35,12 +35,17 @@ matrix that is zero off its columns C has the spectrum of its C x C
 part, plus 0 (see _block_spectra).  Every tolerance is still scaled by
 the norms of the conjugated matrices.
 
-Seeded trials are built and checked in stacks of at most STACK_TRIALS
-families, held as (trials, n, order, order) arrays of conjugated and
-block matrices, so that each inverse, product, norm and eigen-solve is
-one LAPACK or BLAS call per stack rather than per matrix.  Every trial
-draws from its own seeded stream, so a family has the same bits alone
-as in a stack, and `make_family` rebuilds any one trial from its seed.
+Seeded trials are built and checked in stacks, so that each inverse,
+product, norm and eigen-solve is one LAPACK or BLAS call per stack
+rather than per matrix.  A stack holds as many families as fit in
+STACK_BYTES at its peak (see _trial_bytes), and per family only order
+x order matrices: the block matrix B = sum_j b_j, S^-1, W and the sum
+of the a_j.  Each a_j is formed once, for all trials, and used at once
+for its norm, the running sum, its product P_j and the cyclic product,
+then dropped.  Every trial draws from its own seeded stream, so a
+family has the same bits alone as in a stack, and `make_family`
+rebuilds any one trial from its seed, keeping the a_j as they are
+formed.
 
 All statements are about spectra as *sets*: comparisons are tolerance
 set matching, ignoring multiplicity, with the tolerance scaled by the
@@ -52,6 +57,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -65,12 +71,11 @@ __all__ = [
 
 MAX_ORDER = 128
 SET_MATCH_TOL = 1e-7
-# families per stack: larger stacks save little call overhead but hold
-# more memory (one cta stack at n = 5, order 24 is 0.37 MB per array);
-# stacks of large families are cut so that the conjugated and the block
-# matrices together fit in STACK_BYTES, down to one family
-STACK_TRIALS = 8
-STACK_BYTES = 4 * 2 ** 20
+# the most a stack of families may hold at its peak (_trial_bytes), down
+# to one family: 17 families of n = 4 or 5 at order 24 and 39 of n = 2 at
+# order 16, so 50 trials of the lemma_lab suites take 2 or 3 stacks
+# (fewer stacks save call overhead), each holding at most about 1.2 MB
+STACK_BYTES = 9 * 2 ** 17
 SIMILARITY_DRAWS = 50
 # a required product a_i a_j passes the construction check when a bound
 # on its norm is at most this times max(1, ||a_i|| ||a_j||): far above
@@ -142,8 +147,11 @@ def _supports(pattern: Pattern, n: int):
 def _similarity_candidate(pair: np.ndarray) -> np.ndarray:
     """Candidates from (..., 2, order, order) real and imaginary parts."""
     order = pair.shape[-1]
-    z = pair[..., 0, :, :] + 1j * pair[..., 1, :, :]
-    return z / np.sqrt(2.0 * order) + np.eye(order)
+    z = pair[..., 1, :, :] * 1j
+    z += pair[..., 0, :, :]
+    z /= np.sqrt(2.0 * order)
+    z += np.eye(order)
+    return z
 
 
 def _well_conditioned(s: np.ndarray, s_inv: np.ndarray) -> np.ndarray:
@@ -167,12 +175,59 @@ def _redraw_similarity(order: int, rng) -> np.ndarray:
     raise RootFindingError("could not draw a well-conditioned similarity")
 
 
-def _make_stack(pattern: Pattern | str, n: int, order: int, seeds):
+def _conjugation(spans, order: int, seeds):
+    """(B, S^-1, W = S B) of the stack's families, whose blocks b_j are
+    the (rows, cols) of spans; S and the draws are dropped on return."""
+    # each trial's draws: every block, then its first similarity
+    # candidate, as (2, rows, cols) real and imaginary parts
+    shapes = [(2, rows.stop - rows.start, cols.stop - cols.start)
+              for rows, cols in spans]
+    shapes.append((2, order, order))
+    trials = len(seeds)
+    ends = list(itertools.accumulate(map(math.prod, shapes)))
+    draws = np.empty((trials, ends[-1]))
+    for t, seed in enumerate(seeds):
+        np.random.default_rng(seed).standard_normal(out=draws[t])
+    parts = [draws[:, end - math.prod(shape): end].reshape(trials, *shape)
+             for end, shape in zip(ends, shapes)]
+    # the source blocks are distinct, so B holds every b_j unchanged
+    blocks = np.zeros((trials, order, order), dtype=complex)
+    for j, (rows, cols) in enumerate(spans):
+        blocks.real[:, rows, cols] = parts[j][:, 0]
+        blocks.imag[:, rows, cols] = parts[j][:, 1]
+    s = _similarity_candidate(parts[-1])
+    del draws, parts
+    s_inv = np.linalg.inv(s)
+    redrawn = np.flatnonzero(~_well_conditioned(s, s_inv))
+    for t in redrawn:
+        # the trial's stream past the draws it has used
+        rng = np.random.default_rng(seeds[t])
+        rng.standard_normal(ends[-1])
+        s[t] = _redraw_similarity(order, rng)
+    if redrawn.size:
+        s_inv[redrawn] = np.linalg.inv(s[redrawn])
+    # and W = S B is S b_j on C_j, exactly
+    return blocks, s_inv, s @ blocks
+
+
+class _Stack(NamedTuple):
+    """A stack of seeded families as the checkers read them.  b_j is
+    blocks on its source columns cols[j] and zero elsewhere."""
+
+    sums: np.ndarray        # (trials, order, order): sum_j a_j
+    norms: np.ndarray       # (trials, n): ||a_j||_F
+    blocks: np.ndarray      # (trials, order, order): B = sum_j b_j
+    cols: list              # C_j, a slice, per summand
+    # (trials,): ||a_0 a_1 ... a_{n-1}||_F, if it was formed
+    cyclic_norms: np.ndarray | None
+
+
+def _make_stack(pattern: Pattern | str, n: int, order: int, seeds,
+                cyclic_product: bool = False, keep: list | None = None):
     """One seeded family per seed, each realizing the pattern exactly
-    and conjugated by its own well-conditioned similarity, as (mats,
-    blocks) of shape (trials, n, order, order): mats[t, j] is a_j of
-    the family seeded by seeds[t], and blocks[t, j] the block-supported
-    matrix it is conjugated from.
+    and conjugated by its own well-conditioned similarity, as a _Stack.
+    With cyclic_product it records ||a_0 ... a_{n-1}||_F; each a_j,
+    (trials, order, order), is appended to keep if given.
 
     The family seeded by s draws from default_rng(s): the real, then
     the imaginary part of each matrix's block, then similarity
@@ -199,34 +254,39 @@ def _make_stack(pattern: Pattern | str, n: int, order: int, seeds):
     edges = [k * q + min(k, r) for k in range(nblocks + 1)]
     spans = [(slice(edges[targets[0]], edges[targets[-1] + 1]),
               slice(edges[src], edges[src + 1])) for src, targets in supports]
-    # each trial's draws: every block, then its first similarity
-    # candidate, as (2, rows, cols) real and imaginary parts
-    shapes = [(2, rows.stop - rows.start, cols.stop - cols.start)
-              for rows, cols in spans]
-    shapes.append((2, order, order))
-    ends = list(itertools.accumulate(map(math.prod, shapes)))
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    draws = np.array([rng.normal(size=ends[-1]) for rng in rngs])
-    pairs = [draws[:, end - math.prod(shape): end].reshape(len(seeds), *shape)
-             for end, shape in zip(ends, shapes)]
-    blocks = np.zeros((len(seeds), n, order, order), dtype=complex)
-    for j, (rows, cols) in enumerate(spans):
-        blocks.real[:, j, rows, cols] = pairs[j][:, 0]
-        blocks.imag[:, j, rows, cols] = pairs[j][:, 1]
-    s = _similarity_candidate(pairs[-1])
-    s_inv = np.linalg.inv(s)
-    redrawn = np.flatnonzero(~_well_conditioned(s, s_inv))
-    for t in redrawn:
-        s[t] = _redraw_similarity(order, rngs[t])
-    if redrawn.size:
-        s_inv[redrawn] = np.linalg.inv(s[redrawn])
-    # the source blocks are distinct, so W is S b_j on C_j, exactly
-    w = s @ blocks.sum(axis=1)
-    mats = np.empty_like(blocks)
-    for j, (_, cols) in enumerate(spans):
-        np.matmul(w[:, :, cols], s_inv[:, cols], out=mats[:, j])
-    _check_products(mats, w, s_inv, edges, sources, pattern, seeds)
-    return mats, blocks
+    blocks, s_inv, w = _conjugation(spans, order, seeds)
+    cols = [c for _, c in spans]
+    pairs = _required_zero_pairs(pattern, n)
+    total, norms, sq, cyclic_norms = _summands(
+        w, s_inv, cols, {i for i, _ in pairs}, cyclic_product, keep)
+    _check_products(sq, norms, w, s_inv, edges, sources, pairs, seeds)
+    return _Stack(total, norms, blocks, cols, cyclic_norms)
+
+
+def _summands(w, s_inv, cols, left, cyclic_product, keep):
+    """Form each summand a_j = W[:, C_j] S^-1[C_j, :] of a stack once
+    and use it at once; returns their running sum, the norms ||a_j||_F,
+    (trials, n), sq with the squared column norms of P_i = a_i W in row
+    i for each left factor i (see _product_bounds), and, with
+    cyclic_product, ||a_0 ... a_{n-1}||_F."""
+    trials, order = w.shape[:2]
+    n = len(cols)
+    sq = np.zeros((trials, n + 2, 2 * order))
+    norms = np.empty((trials, n))
+    for j, c in enumerate(cols):
+        a = w[:, :, c] @ s_inv[:, c]
+        norms[:, j] = _norms(a)
+        if j in left:
+            _column_sq(a @ w, sq[:, j])
+        if cyclic_product:
+            prod = a if j == 0 else prod @ a
+        if j == 0:
+            total = a.copy()
+        else:
+            total += a
+        if keep is not None:
+            keep.append(a)
+    return total, norms, sq, _norms(prod) if cyclic_product else None
 
 
 def make_family(pattern: Pattern | str, n: int, order: int,
@@ -234,15 +294,25 @@ def make_family(pattern: Pattern | str, n: int, order: int,
     """Seeded structured family realizing the pattern exactly, then
     conjugated by one random well-conditioned similarity, as an
     (n, order, order) array whose j-th matrix is a_j."""
-    return _make_stack(pattern, n, order, [seed])[0][0]
+    summands = []
+    _make_stack(pattern, n, order, [seed], keep=summands)
+    return np.concatenate(summands)
 
 
-def _product_bounds(mats, norms, w, s_inv, edges, sources,
+def _column_sq(m: np.ndarray, out: np.ndarray):
+    """Squared norms of the columns of each complex matrix of a stack,
+    per real and imaginary part, into out, (trials, 2 * cols)."""
+    v = m.view(float)
+    np.einsum("...ij,...ij->...j", v, v, out=out)
+
+
+def _product_bounds(sq, norms, w, s_inv, edges, sources,
                     pairs) -> np.ndarray:
     """Upper bounds, (trials, len(pairs)), on ||a_i a_j||_F for the
-    exact products of the stored matrices of a stack built by
-    _make_stack, from one product P_i = a_i W per left factor i; norms
-    are the ||a_j||_F, (trials, n).
+    exact products of the summands of a stack built by _make_stack,
+    from one product P_i = a_i W per left factor i, given sq, whose row
+    i holds the squared column norms of P_i (_column_sq); norms are the
+    ||a_j||_F, (trials, n).
 
     a_i a_j = P_i[:, C_j] S^-1[C_j, :] up to the rounding of a_j and
     of P_i, each at most gamma_k |x||y| for a k-term complex product
@@ -251,15 +321,10 @@ def _product_bounds(mats, norms, w, s_inv, edges, sources,
     2) eps ||a_i|| ||W[:, C_j]|| ||S^-1[C_j, :]||.  Squared norms are
     summed per column (row), over real and imaginary parts as floats,
     then over each block by np.add.reduceat."""
-    trials, n, order = mats.shape[:3]
-    # squared norms per column and part: rows 0..n-1 of P_i, row n of
-    # W, and row n + 1 of the rows of S^-1, at even places
-    sq = np.zeros((trials, n + 2, 2 * order))
-    for k in {i for i, _ in pairs}:
-        p = (mats[:, k] @ w).view(float)
-        np.einsum("...ij,...ij->...j", p, p, out=sq[:, k])
-    np.einsum("...ij,...ij->...j", w.view(float), w.view(float),
-              out=sq[:, n])
+    n, order = norms.shape[1], w.shape[-1]
+    # row n of sq: the columns of W; row n + 1: the rows of S^-1, at
+    # even places
+    _column_sq(w, sq[:, n])
     np.einsum("...ij,...ij->...i", s_inv.view(float), s_inv.view(float),
               out=sq[:, n + 1, ::2])
     blk = np.sqrt(np.add.reduceat(sq, [2 * e for e in edges[:-1]], axis=-1))
@@ -273,12 +338,10 @@ def _product_bounds(mats, norms, w, s_inv, edges, sources,
     return grid[:, i, np.array(sources)[j]]
 
 
-def _check_products(mats, w, s_inv, edges, sources, pattern, seeds):
+def _check_products(sq, norms, w, s_inv, edges, sources, pairs, seeds):
     """Raise when a required product a_i a_j may not vanish: its bound
     passes CONSTRUCTION_TOL max(1, ||a_i|| ||a_j||)."""
-    pairs = _required_zero_pairs(pattern, mats.shape[1])
-    norms = _norms(mats)
-    bounds = _product_bounds(mats, norms, w, s_inv, edges, sources, pairs)
+    bounds = _product_bounds(sq, norms, w, s_inv, edges, sources, pairs)
     i, j = np.array(pairs).T
     scale = np.maximum(1.0, norms[:, i] * norms[:, j])
     bad = bounds > CONSTRUCTION_TOL * scale
@@ -303,10 +366,10 @@ def _norms(mats: np.ndarray) -> np.ndarray:
     return np.sqrt(sq[..., 0, 0])
 
 
-def _scaled_tol(mats: np.ndarray) -> np.ndarray:
-    """Per-trial matching tolerance of a (trials, k, order, order)
-    stack, scaled by the largest norm among the trial's k matrices."""
-    return SET_MATCH_TOL * np.maximum(1.0, _norms(mats).max(axis=1))
+def _scaled_tol(norms: np.ndarray) -> np.ndarray:
+    """Per-trial matching tolerance, scaled by the largest of each
+    trial's norms, (trials, k)."""
+    return SET_MATCH_TOL * np.maximum(1.0, norms.max(axis=1))
 
 
 def _nonzero(vals: np.ndarray, tol: np.ndarray) -> np.ndarray:
@@ -330,61 +393,69 @@ def _match(a: np.ndarray, b: np.ndarray, tol: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# the lemma checkers: each maps a stack of families, as the (mats,
-# blocks) of _make_stack, to one verdict per trial.  Sums are solved
-# densely from the conjugated matrices, summands and products on their
-# nonzero columns from the blocks; tolerances are scaled by the
+# the lemma checkers: each maps a _Stack to one verdict per trial.  Sums
+# are solved densely from the conjugated matrices, summands and products
+# on their nonzero columns from the blocks; tolerances are scaled by the
 # conjugated matrices.  Three statements cover the seven lemmas:
 # inclusion in the union (fl, flc), equality of nonzero spectra (ta,
 # cta, lip) and the cyclic root spectral mapping (rsm, n2c)
 # ----------------------------------------------------------------------
 
-def _block_spectra(blocks: np.ndarray, length: int = 1) -> np.ndarray:
+def _block_spectra(stack: _Stack, length: int = 1) -> np.ndarray:
     """Eigenvalues, (trials, n, width), of the cyclic products b_k
     b_{k+1} ... b_{k+length-1} of every trial's n blocks, indices mod n;
     length 1 gives the blocks themselves.
 
     A matrix M that is zero off its columns C has sigma(M) = sigma(M[C,
     C]), with 0 added when C is not all columns; a product is zero off
-    the columns of its last factor.  C_j is taken as the columns where
-    b_j is nonzero in any trial.  Each product is formed thin on its
+    the columns of its last factor.  Each product is formed thin on its
     last factor's C, right to left, and solved on rows and columns C
     plus zero columns up to the common width max|C| + 1, which keep the
-    exact 0 (the solved matrix is [[M[C, C], 0], [*, 0]])."""
-    n, order = blocks.shape[1:3]
-    nonzero = blocks.any(axis=(0, -2))                  # (n, order)
-    width = min(int(nonzero.sum(axis=-1).max()) + 1, order)
-    # per block: its nonzero columns first, ascending, then zero ones
-    cols = np.argsort(~nonzero, axis=-1, kind="stable")[:, :width]
-    j = np.arange(n)[:, None, None]
-    thin = blocks[:, j, np.arange(order)[:, None], cols[:, None, :]]
+    exact 0 (the solved matrix is [[M[C, C], 0], [*, 0]]).  b_k times a
+    product is B times the product's rows C_k: the same terms, the
+    others zero on both sides."""
+    blocks = stack.blocks
+    trials, order = blocks.shape[:2]
+    n = len(stack.cols)
+    sizes = [c.stop - c.start for c in stack.cols]
+    width = min(max(sizes) + 1, order)
+    nonzero = np.zeros((n, order), dtype=bool)
+    thin = np.zeros((trials, n, order, width), dtype=complex)
+    for j, c in enumerate(stack.cols):
+        nonzero[j, c] = True
+        thin[:, j, :, :sizes[j]] = blocks[:, :, c]
     for _ in range(length - 1):
         # entry k holds the product from b_k; prepend b_k to the one
         # from b_{k+1}
-        thin = blocks @ np.roll(thin, -1, axis=1)
+        thin = np.roll(thin, -1, axis=1)
+        thin[:, ~nonzero] = 0
+        thin = blocks[:, None] @ thin
+    # per block: its nonzero columns first, ascending, then zero ones
+    cols = np.argsort(~nonzero, axis=-1, kind="stable")[:, :width]
     last = np.roll(cols, 1 - length, axis=0)
+    j = np.arange(n)[:, None, None]
     return eigenvalues(thin[:, j, last[:, :, None], np.arange(width)])
 
 
-def _sum_and_parts(mats: np.ndarray, blocks: np.ndarray):
+def _sum_and_parts(stack: _Stack):
     """Eigenvalues of sum_j a_j, (trials, order), and of all the a_j,
     (trials, n * width)."""
-    return (eigenvalues(mats.sum(axis=1)),
-            _block_spectra(blocks).reshape(len(mats), -1))
+    return (eigenvalues(stack.sums),
+            _block_spectra(stack).reshape(len(stack.sums), -1))
 
 
-def _union_flc(mats: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+def _union_flc(stack: _Stack) -> np.ndarray:
     """sigma(sum a_j) inside the union of the sigma(a_j)."""
-    total, union = _sum_and_parts(mats, blocks)
-    return _covered(total, union, _scaled_tol(mats))
+    total, union = _sum_and_parts(stack)
+    return _covered(total, union, _scaled_tol(stack.norms))
 
 
-def _equality_cta(mats: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+def _equality_cta(stack: _Stack) -> np.ndarray:
     """Nonzero spectrum of the sum equals the nonzero union.  On a
     lead-in family (lip) a_2 is zero on its own columns, so it adds
     only 0 and the union is the nonzero spectrum of a_1."""
-    tol = _scaled_tol(mats)
-    total, union = _sum_and_parts(mats, blocks)
+    tol = _scaled_tol(stack.norms)
+    total, union = _sum_and_parts(stack)
     union = _nonzero(union, tol)
     # A defective zero eigenvalue of the sum perturbs as far as about
     # eps^(1/multiplicity), above the plain tolerance, while its genuine
@@ -395,26 +466,18 @@ def _equality_cta(mats: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     return _match(_nonzero(total, cut), union, tol)
 
 
-def _cyclic_product(mats: np.ndarray, k: int) -> np.ndarray:
-    """a_k a_{k+1} ... a_{k+n-1} of every trial, indices mod n."""
-    n = mats.shape[1]
-    prod = mats[:, k]
-    for j in range(k + 1, k + n):
-        prod = prod @ mats[:, j % n]
-    return prod
-
-
-def _rsm(mats: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+def _rsm(stack: _Stack) -> np.ndarray:
     """Cyclic pattern: nonzero sigma(sum a_j) = {lambda: lambda^n in
     sigma(prod a_j)}, with rotation invariance and the cyclic-shift
     (Jacobson) variants of the product.  At n = 2 the family is a
     square-zero pair (n2c): nonzero lambda in sigma(a_1 + a_2) iff
-    lambda^2 in sigma(a_1 a_2) iff lambda^2 in sigma(a_2 a_1)."""
-    n = mats.shape[1]
-    tol = _scaled_tol(mats)
-    tolp = _scaled_tol(_cyclic_product(mats, 0)[:, None])
-    sums = eigenvalues(mats.sum(axis=1))
-    prods = _block_spectra(blocks, n)       # prods[:, k]: shift k
+    lambda^2 in sigma(a_1 a_2) iff lambda^2 in sigma(a_2 a_1).  The
+    stack must carry the norm of a_1 ... a_n (cyclic_product)."""
+    n, order = len(stack.cols), stack.sums.shape[-1]
+    tol = _scaled_tol(stack.norms)
+    tolp = _scaled_tol(stack.cyclic_norms[:, None])
+    sums = eigenvalues(stack.sums)
+    prods = _block_spectra(stack, n)        # prods[:, k]: shift k
     spec = _nonzero(prods, tolp)
     # Genuine nonzero eigenvalues lambda of the sum satisfy lambda^n in
     # the nonzero spectrum of the product, so |lambda| is bounded below
@@ -434,7 +497,7 @@ def _rsm(mats: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     # n * order * eps of its norm (tolp / SET_MATCH_TOL): the zero
     # eigenvalues that blocks of unequal size force on a product come
     # out at that level, and must not survive.
-    floor = tolp * (n * mats.shape[-1] * np.finfo(float).eps / SET_MATCH_TOL)
+    floor = tolp * (n * order * np.finfo(float).eps / SET_MATCH_TOL)
     spec = _nonzero(prods, np.maximum(floor, np.minimum(tolp, cut ** n)))
     ok = _match(total ** n, spec[:, 0], tolp)
     for k in range(1, n):
@@ -466,12 +529,29 @@ def family_size(lemma: str, n: int) -> int:
     return n if fixed_n is None else fixed_n
 
 
+def _trial_bytes(n: int, order: int) -> int:
+    """Bytes one family of n summands adds to a stack at its peak.
+
+    Building, the peak is the loop of _summands: B, S^-1, W, the
+    running sum, and a_j while the next one is formed, or with P_j =
+    a_j W, or with the cyclic product before and after a_j: at most
+    seven complex order x order matrices.  The draws and S, held before
+    W exists, are fewer.  Checking holds B and the sum, then at most
+    two thin products of _block_spectra, each n x order x (order / n +
+    1), or the matching's differences, under two order x order
+    matrices or one and a half thin ones.  Each phase also holds the
+    squared column norms of _product_bounds and its grids of pairs,
+    (n, n + 1) at most."""
+    matrix = 16 * order ** 2
+    thin = 16 * n * order * (-(-order // max(n, 1)) + 1)
+    small = 16 * (n + 2) * order + 32 * n * (n + 1)
+    return max(7 * matrix, 2 * matrix + 2 * max(thin, matrix)) + small
+
+
 def _stack_trials(n: int, order: int) -> int:
-    """Families per stack: STACK_TRIALS, or as many as fit in
-    STACK_BYTES of complex matrices, conjugated and block ones, but at
-    least one."""
-    family_bytes = max(1, 2 * 16 * n * order ** 2)  # shapes checked later
-    return max(1, min(STACK_TRIALS, STACK_BYTES // family_bytes))
+    """Families per stack: as many as fit in STACK_BYTES, but at least
+    one (shapes are checked when the first stack is built)."""
+    return max(1, STACK_BYTES // max(1, _trial_bytes(n, order)))
 
 
 def _trial_seed(master_seed: int, t: int) -> int:
@@ -491,7 +571,8 @@ def run_checker(lemma: str, n: int, order: int, trials: int,
     for start in range(0, trials, size):
         seeds = [_trial_seed(master_seed, t)
                  for t in range(start, min(start + size, trials))]
-        verdicts = checker(*_make_stack(pattern, n, order, seeds))
+        verdicts = checker(_make_stack(pattern, n, order, seeds,
+                                       cyclic_product=checker is _rsm))
         failing += [seed for seed, ok in zip(seeds, verdicts) if not ok]
     return (not failing), failing
 

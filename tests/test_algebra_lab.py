@@ -14,13 +14,12 @@ import compspec.algebra_lab as al
 from compspec import RationalSymbol
 from compspec.algebra_lab import (Pattern, eigenvalues, make_family,
                                   run_checker, truncation_from_coeffs,
-                                  STACK_TRIALS, _block_spectra,
-                                  _cyclic_product, _equality_cta,
-                                  _make_stack, _match, _nonzero,
-                                  _required_zero_pairs, _rsm, _scaled_tol,
-                                  _similarity_candidate, _supports,
-                                  _trial_seed, _union_flc,
-                                  _well_conditioned)
+                                  STACK_BYTES, _block_spectra,
+                                  _equality_cta, _make_stack, _match,
+                                  _nonzero, _norms, _required_zero_pairs,
+                                  _rsm, _scaled_tol, _similarity_candidate,
+                                  _stack_trials, _supports, _trial_seed,
+                                  _union_flc, _well_conditioned)
 from compspec.errors import InvalidDataError, RootFindingError
 from conftest import count_calls, perfbench_gen
 
@@ -29,6 +28,24 @@ RNG = np.random.default_rng(99)
 # CYCLIC at n = 2 is the square-zero (nilpotent) pair, a_1^2 = a_2^2 =
 # 0, that the n2c lemma is about: test ids keep that name for it
 NILPOTENT_PAIR = Pattern.CYCLIC
+
+
+def _stack(pattern, n, order, seeds, checker=_rsm):
+    """_make_stack as run_checker calls it for checker, and the
+    summands it formed, (trials, n, order, order)."""
+    kept = []
+    stack = _make_stack(pattern, n, order, seeds,
+                        cyclic_product=checker is _rsm, keep=kept)
+    return stack, np.stack(kept, axis=1)
+
+
+def _cyclic_product(mats, k):
+    """a_k a_{k+1} ... a_{k+n-1} of every trial, indices mod n."""
+    n = mats.shape[1]
+    prod = mats[:, k]
+    for j in range(k + 1, k + n):
+        prod = prod @ mats[:, j % n]
+    return prod
 
 
 def _same_set(a, b, tol):
@@ -133,7 +150,7 @@ def test_order_cap_is_checked_before_building():
     tracemalloc.start()
     try:
         with pytest.raises(InvalidDataError, match="order exceeds cap 128"):
-            run_checker("ta", 2, 129, STACK_TRIALS, 0)
+            run_checker("ta", 2, 129, 8, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -172,18 +189,34 @@ SHAPES = [(Pattern.ONE_WAY, 4, 24), (Pattern.TWO_SIDED, 5, 24),
           (Pattern.CYCLIC, 5, 23)]
 
 
-@pytest.mark.parametrize("trials", [1, STACK_TRIALS, STACK_TRIALS + 1, 50])
+# stacks of 1, 8 and 9 families, one full stack of run_checker and one
+# family more, and 50 families
+@pytest.mark.parametrize("trials", [1, 8, 9, "full", "full+1", 50])
 @pytest.mark.parametrize("pattern,n,order", SHAPES)
 def test_stacked_families_are_the_single_families(pattern, n, order, trials):
+    if isinstance(trials, str):
+        trials = _stack_trials(n, order) + (trials == "full+1")
     seeds = [_trial_seed(0, t) for t in range(trials)]
-    stack, blocks = _make_stack(pattern, n, order, seeds)
-    assert stack.shape == blocks.shape == (trials, n, order, order)
+    stack, mats = _stack(pattern, n, order, seeds)
+    assert mats.shape == (trials, n, order, order)
+    assert stack.sums.shape == stack.blocks.shape == (trials, order, order)
     for t, seed in enumerate(seeds):
         alone = make_family(pattern, n, order, seed)
-        assert np.array_equal(stack[t], alone)
+        assert np.array_equal(mats[t], alone)
         ref, ref_blocks = _loop_family(pattern, n, order, seed)
         assert np.array_equal(alone, ref)
-        assert np.array_equal(blocks[t], ref_blocks)
+        # B is its blocks' sum, and each block is B on its columns
+        assert np.array_equal(stack.blocks[t], ref_blocks.sum(axis=0))
+        for j, cols in enumerate(stack.cols):
+            block = np.zeros_like(stack.blocks[t])
+            block[:, cols] = stack.blocks[t, :, cols]
+            assert np.array_equal(block, ref_blocks[j])
+        # the sum and the norms are those of the family alone
+        assert np.array_equal(stack.sums[t], alone.sum(axis=0))
+        assert np.array_equal(stack.norms[t],
+                              [np.linalg.norm(a) for a in alone])
+        assert stack.cyclic_norms[t] == np.linalg.norm(
+            _cyclic_product(alone[None], 0)[0])
 
 
 @pytest.mark.parametrize("pattern,n,order", SHAPES)
@@ -195,8 +228,8 @@ def test_product_bounds_cover_the_required_products(pattern, n, order,
     monkeypatch.setattr(al, "_product_bounds",
                         lambda *args: recorded.append(bounds(*args))
                         or recorded[-1])
-    seeds = [_trial_seed(0, t) for t in range(STACK_TRIALS)]
-    mats, _ = _make_stack(pattern, n, order, seeds)
+    seeds = [_trial_seed(0, t) for t in range(_stack_trials(n, order))]
+    _, mats = _stack(pattern, n, order, seeds)
     [bound] = recorded
     pairs = _required_zero_pairs(pattern, n)
     assert bound.shape == (len(seeds), len(pairs))
@@ -235,12 +268,12 @@ def test_redrawn_similarity_keeps_the_stream(monkeypatch):
 
     monkeypatch.setattr(al, "_redraw_similarity", counted)
     seeds = list(range(24, 40))
-    stack, blocks = _make_stack(Pattern.TWO_SIDED, 5, 24, seeds)
+    stack, mats = _stack(Pattern.TWO_SIDED, 5, 24, seeds)
     assert redraws == [24, 24]
     for t, seed in enumerate(seeds):
         ref, ref_blocks = _loop_family(Pattern.TWO_SIDED, 5, 24, seed)
-        assert np.array_equal(stack[t], ref)
-        assert np.array_equal(blocks[t], ref_blocks)
+        assert np.array_equal(mats[t], ref)
+        assert np.array_equal(stack.blocks[t], ref_blocks.sum(axis=0))
 
 
 @pytest.mark.parametrize("lemma,check,pattern,n,order", [
@@ -253,32 +286,32 @@ def test_redrawn_similarity_keeps_the_stream(monkeypatch):
 ])
 def test_run_checker_fails_the_seeds_that_fail_alone(lemma, check, pattern,
                                                      n, order, monkeypatch):
-    # a tolerance this tight fails some trials and passes others
+    # a tolerance this tight fails some trials and passes others; two
+    # full stacks and one trial more
     monkeypatch.setattr(al, "SET_MATCH_TOL", 1e-15)
-    trials = 2 * STACK_TRIALS + 4
+    trials = 2 * _stack_trials(n, order) + 1
     ok, failing = run_checker(lemma, n, order, trials, master_seed=3)
     seeds = [_trial_seed(3, t) for t in range(trials)]
     alone = [s for s in seeds
-             if not check(*_make_stack(pattern, n, order, [s]))[0]]
+             if not check(_stack(pattern, n, order, [s], check)[0])[0]]
     assert failing == alone
     assert 0 < len(failing) < trials and not ok
 
 
 def test_large_families_are_stacked_one_at_a_time(monkeypatch):
-    # one family of 16 matrices of order 128 is 4.2 MB, and as much
-    # again for its blocks
+    # one family of order 128 holds seven 262 kB matrices at its peak
     sizes = []
 
-    def record(mats, blocks):
-        sizes.append(len(mats))
-        return [True] * len(mats)
+    def record(stack):
+        sizes.append(len(stack.sums))
+        return [True] * len(stack.sums)
 
     monkeypatch.setitem(al._CHECKERS, "flc", (Pattern.ONE_WAY, record, None))
     assert run_checker("flc", 16, 128, 3, master_seed=0) == (True, [])
     assert sizes == [1, 1, 1]
-    assert al._stack_trials(5, 24) == STACK_TRIALS
-    # 16 matrices of order 64 and their blocks: 2 MB a family
-    assert al._stack_trials(16, 64) == 2
+    assert _stack_trials(5, 24) == 17
+    # at order 64, 0.49 MB a family
+    assert _stack_trials(16, 64) == 2
 
 
 def test_stacked_run_stays_small():
@@ -298,17 +331,17 @@ def test_block_spectra_are_the_conjugated_spectra(pattern, n, order):
     # the checkers solve summands and products on the blocks' nonzero
     # columns; the dense solve of every conjugated one is the oracle
     # they must agree with
-    mats, blocks = _make_stack(pattern, n, order,
-                               [_trial_seed(4, t) for t in range(3)])
+    stack, mats = _stack(pattern, n, order,
+                         [_trial_seed(4, t) for t in range(3)])
     products = [(mats, 1)]                    # the summands
     if pattern is Pattern.CYCLIC:             # every cyclic product
         products.append((np.stack([_cyclic_product(mats, k)
                                    for k in range(n)], axis=1), n))
     width = -(-order // _supports(pattern, n)[1]) + 1
     for dense, length in products:
-        tol = _scaled_tol(dense)
+        tol = _scaled_tol(_norms(dense))
         dense_vals = eigenvalues(dense)
-        reduced = _block_spectra(blocks, length)
+        reduced = _block_spectra(stack, length)
         assert reduced.shape == (3, n, width)
         for j in range(n):
             assert _match(dense_vals[:, j], reduced[:, j], tol).all()
@@ -320,13 +353,54 @@ LEMMA_SUITES = [("fl", 2, 16), ("ta", 2, 16), ("cta", 5, 24),
                 ("flc", 4, 24)]
 
 
+# families per stack of each suite, so stacks per 50-trial request
+SUITE_STACKS = {"fl": (39, 2), "ta": (39, 2), "cta": (17, 3), "lip": (39, 2),
+                "n2c": (39, 2), "rsm": (17, 3), "flc": (17, 3)}
+
+
+def test_lemma_suite_stacks_are_sized_by_memory():
+    for lemma, n, order in LEMMA_SUITES:
+        size = _stack_trials(al.family_size(lemma, n), order)
+        assert (size, -(-50 // size)) == SUITE_STACKS[lemma], lemma
+
+
+def _peak_bytes(run):
+    """The traced peak of run(), less what was held before it."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+# the suites, the two SHAPES that are not suites, each with a checker
+# for its pattern, and the largest families
+@pytest.mark.parametrize("lemma,n,order", LEMMA_SUITES + [
+    ("lip", 2, 17), ("rsm", 5, 23), ("flc", 16, 128)])
+def test_a_full_stack_fits_its_budget(lemma, n, order):
+    # everything that building and checking one full stack allocates
+    # at once, or the stack is a single family
+    n = al.family_size(lemma, n)
+    pattern, checker, _ = al._CHECKERS[lemma]
+    size = _stack_trials(n, order)
+    seeds = [_trial_seed(0, t) for t in range(size)]
+    peak = _peak_bytes(lambda: checker(_make_stack(
+        pattern, n, order, seeds, cyclic_product=checker is _rsm)))
+    assert peak <= STACK_BYTES or size == 1
+    assert size > 1 or order == 128
+
+
 def test_lemma_suites_solve_one_dense_sum_per_trial(monkeypatch):
     stacks, solves = [], []
     make_stack, eigvals = al._make_stack, np.linalg.eigvals
 
-    def recorded_stack(pattern, n, order, seeds):
-        stacks.append((pattern, n, make_stack(pattern, n, order, seeds)))
-        return stacks[-1][2]
+    def recorded_stack(pattern, n, order, seeds, **options):
+        kept = []
+        stack = make_stack(pattern, n, order, seeds, **options, keep=kept)
+        stacks.append((pattern, n, stack, np.stack(kept, axis=1)))
+        return stack
 
     def recorded_eigvals(m):
         solves.append(m)
@@ -337,10 +411,10 @@ def test_lemma_suites_solve_one_dense_sum_per_trial(monkeypatch):
     for lemma, n, order in LEMMA_SUITES:
         for seed in range(4):
             assert run_checker(lemma, n, order, 50, seed) == (True, [])
-    # per stack of 8 trials, 7 stacks per 50 trials: one dense solve of
+    # per stack (SUITE_STACKS, 17 per master seed): one dense solve of
     # the sums, then one reduced solve of the summands or products
-    assert len(stacks) == 196 and len(solves) == 392
-    for (pattern, n, (mats, _)), dense, reduced in zip(
+    assert len(stacks) == 68 and len(solves) == 136
+    for (pattern, n, _, mats), dense, reduced in zip(
             stacks, solves[::2], solves[1::2]):
         assert np.array_equal(dense, mats.sum(axis=1))
         largest = -(-mats.shape[-1] // _supports(pattern, n)[1])
@@ -382,7 +456,8 @@ def test_spectra_match_basics():
     pytest.param(_rsm, Pattern.CYCLIC, 5, id="check_RSM-cyclic-5"),
 ])
 def test_checkers_pass(checker, pattern, n):
-    assert list(checker(*_make_stack(pattern, n, 18, [1, 2, 3]))) == [True] * 3
+    stack, _ = _stack(pattern, n, 18, [1, 2, 3], checker)
+    assert list(checker(stack)) == [True] * 3
 
 
 # trial seeds of run_checker("rsm", n, order, 50, master) for masters 8;
@@ -396,11 +471,11 @@ def test_checkers_pass(checker, pattern, n):
 def test_rsm_keeps_small_product_eigenvalues(n, order, seed):
     # the product has a genuine eigenvalue below tolp whose nth root in
     # the sum lies above the cut: it must be kept to partner that root
-    mats, blocks = _make_stack(Pattern.CYCLIC, n, order, [seed])
-    tolp = _scaled_tol(_cyclic_product(mats, 0)[:, None])[0]
-    prod = np.abs(_block_spectra(blocks, n)[0, 0])
+    stack, mats = _stack(Pattern.CYCLIC, n, order, [seed])
+    tolp = _scaled_tol(_norms(_cyclic_product(mats, 0)[:, None]))[0]
+    prod = np.abs(_block_spectra(stack, n)[0, 0])
     assert ((prod > tolp / 100) & (prod < tolp)).any()
-    assert _rsm(mats, blocks)[0]
+    assert _rsm(stack)[0]
 
 
 @pytest.mark.parametrize("n,order,seed", [(10, 41, 1141983266),
@@ -409,8 +484,7 @@ def test_rsm_drops_the_roundoff_zeros_of_products(n, order, seed):
     # blocks of unequal size force zero eigenvalues on every cyclic
     # product, computed at roundoff; here cut^n lies below them, so
     # only the roundoff floor keeps them from wanting a partner
-    mats, blocks = _make_stack(Pattern.CYCLIC, n, order, [seed])
-    assert _rsm(mats, blocks)[0]
+    assert _rsm(_stack(Pattern.CYCLIC, n, order, [seed])[0])[0]
 
 
 @pytest.mark.parametrize("seed", [1115383073, 382432507])
@@ -418,17 +492,17 @@ def test_equality_cuts_the_split_zeros_of_the_sum(seed):
     # the lead-in sum's double zero splits to about 6e-6, above the
     # matching tolerance, while its genuine eigenvalues lie at the
     # union's, 2e-3 and more: the cut must drop the split zero
-    mats, blocks = _make_stack(Pattern.LEAD_IN, 2, 16, [seed])
-    total = np.abs(eigenvalues(mats.sum(axis=1))[0])
-    assert ((total > _scaled_tol(mats)[0]) & (total < 1e-4)).any()
-    assert _equality_cta(mats, blocks)[0]
+    stack, _ = _stack(Pattern.LEAD_IN, 2, 16, [seed], _equality_cta)
+    total = np.abs(eigenvalues(stack.sums)[0])
+    assert ((total > _scaled_tol(stack.norms)[0]) & (total < 1e-4)).any()
+    assert _equality_cta(stack)[0]
 
 
 def test_rsm_order_not_divisible_by_n():
     # block sizes differ, so the sum has defective zero eigenvalues;
     # the checker must still separate them from the genuine spectrum
     for order in (11, 17, 23):
-        assert _rsm(*_make_stack(Pattern.CYCLIC, 5, order, [3]))[0]
+        assert _rsm(_stack(Pattern.CYCLIC, 5, order, [3])[0])[0]
 
 
 def _long_chain_cyclic_family():
@@ -438,7 +512,7 @@ def _long_chain_cyclic_family():
     sum has 8 genuine eigenvalues of modulus 1; its 21 zero eigenvalues
     form three Jordan chains of length 7, which roundoff spreads to
     about eps^(1/7) ~ 6e-3.  Returns the conjugated family and its
-    blocks."""
+    one-trial stack."""
     rng = np.random.default_rng(1)
     sizes = [1] + [4] * 7
     starts = np.cumsum([0] + sizes)
@@ -458,16 +532,20 @@ def _long_chain_cyclic_family():
     mu = np.trace(np.linalg.multi_dot(mats))
     mats[0] /= abs(mu)
     s = np.eye(order) + draw(order, order)
-    return np.stack([s @ a @ np.linalg.inv(s) for a in mats]), np.stack(mats)
+    fam = np.stack([s @ a @ np.linalg.inv(s) for a in mats])
+    stack = al._Stack(fam.sum(axis=0)[None], _norms(fam)[None],
+                      sum(mats)[None], [blocks[(j + 1) % 8] for j in range(8)],
+                      _norms(_cyclic_product(fam[None], 0)))
+    return fam, stack
 
 
 def test_rsm_cut_separates_long_jordan_chains():
-    fam, blocks = _long_chain_cyclic_family()
+    fam, stack = _long_chain_cyclic_family()
     mods = np.sort(np.abs(eigenvalues(fam.sum(axis=0))))
     # the chains' spread lies between the cut's placement at 1/10 of
     # the genuine modulus and a cut 100 times lower
     assert 1e-3 < mods[-9] < 0.03 and abs(mods[-8] - 1.0) < 1e-6
-    assert _rsm(fam[None], blocks[None])[0]
+    assert _rsm(stack)[0]
 
 
 # each family breaks the products its checker's lemma needs to vanish
@@ -480,31 +558,30 @@ def test_rsm_cut_separates_long_jordan_chains():
 ])
 def test_checkers_reject_broken_patterns(checker, pattern, n):
     seeds = [_trial_seed(0, t) for t in range(16)]
-    assert not np.any(checker(*_make_stack(pattern, n, 18, seeds)))
+    assert not np.any(checker(_stack(pattern, n, 18, seeds, checker)[0]))
 
 
 # reference checkers for lip and n2c, each written for its own pattern:
 # the rows of _CHECKERS that run _equality_cta and _rsm for these two
 # lemmas must decide as they do
 
-def _lip(mats, blocks):
+def _lip(stack, mats):
     """a_1 a_2 = 0 and a_2^2 = 0: the nilpotent lead-in summand drops
     out of the nonzero spectrum."""
-    tol = _scaled_tol(mats)
+    tol = _scaled_tol(_norms(mats))
     total = _nonzero(eigenvalues(mats[:, 0] + mats[:, 1]), tol)
-    return _match(total, _nonzero(_block_spectra(blocks[:, :1])[:, 0], tol),
-                  tol)
+    return _match(total, _nonzero(_block_spectra(stack)[:, 0], tol), tol)
 
 
-def _n2c(mats, blocks):
+def _n2c(stack, mats):
     """For a square-zero pair, nonzero lambda in sigma(a_1 + a_2) iff
     lambda^2 in sigma(a_1 a_2) iff lambda^2 in sigma(a_2 a_1)."""
     a1, a2 = mats[:, 0], mats[:, 1]
-    tol = _scaled_tol(mats)
+    tol = _scaled_tol(_norms(mats))
     sq = _nonzero(eigenvalues(a1 + a2), tol) ** 2
-    prods = _nonzero(_block_spectra(blocks, 2), tol)
+    prods = _nonzero(_block_spectra(stack, 2), tol)
     s12, s21 = prods[:, 0], prods[:, 1]
-    tol2 = _scaled_tol((a1 @ a2)[:, None])
+    tol2 = _scaled_tol(_norms((a1 @ a2)[:, None]))
     return (_match(sq, s12, tol2) & _match(sq, s21, tol2)
             & _match(s12, s21, tol2))
 
@@ -523,14 +600,18 @@ def test_lip_and_n2c_rows_decide_as_the_references(lemma, reference,
     # swapped, which is how the old nilpotent-pair pattern ordered them
     _, checker, n = al._CHECKERS[lemma]
     for order in range(3, 28):
-        mats, blocks = _make_stack(pattern, n, order,
-                                   [_trial_seed(order, t) for t in range(8)])
-        families = [(mats, blocks)]
+        stack, mats = _stack(pattern, n, order,
+                             [_trial_seed(order, t) for t in range(8)],
+                             checker)
+        families = [(stack, mats)]
         if lemma == "n2c":
-            families.append((mats[:, ::-1], blocks[:, ::-1]))
-        for family in families:
-            verdicts = checker(*family)
-            assert np.array_equal(verdicts, reference(*family))
+            swapped = mats[:, ::-1]
+            families.append((stack._replace(
+                norms=stack.norms[:, ::-1], cols=stack.cols[::-1],
+                cyclic_norms=_norms(_cyclic_product(swapped, 0))), swapped))
+        for stack, mats in families:
+            verdicts = checker(stack)
+            assert np.array_equal(verdicts, reference(stack, mats))
             assert list(verdicts) == [passes] * len(mats)
 
 
@@ -545,21 +626,22 @@ def test_run_checker():
 
 
 def test_run_checker_reports_failing_seed(monkeypatch):
-    calls = []      # every family the checker saw, in trial order
-    bad = STACK_TRIALS + STACK_TRIALS // 2   # mid second stack
+    calls = []      # every family's sum the checker saw, in trial order
+    size = _stack_trials(2, 8)
+    bad = size + size // 2   # mid second stack
 
-    def flaky(mats, blocks):
+    def flaky(stack):
         first = len(calls)
-        calls.extend(mats)
-        return [first + t != bad for t in range(len(mats))]
+        calls.extend(stack.sums)
+        return [first + t != bad for t in range(len(stack.sums))]
 
     monkeypatch.setitem(al._CHECKERS, "ta", (Pattern.TWO_SIDED, flaky, 2))
-    ok, failing = run_checker("ta", 2, 8, 2 * STACK_TRIALS + 1, master_seed=1)
+    ok, failing = run_checker("ta", 2, 8, 2 * size + 1, master_seed=1)
     assert not ok
-    assert len(calls) == 2 * STACK_TRIALS + 1 and len(failing) == 1
+    assert len(calls) == 2 * size + 1 and len(failing) == 1
     # the reported seed rebuilds the family that failed
     alone = make_family(Pattern.TWO_SIDED, 2, 8, failing[0])
-    assert np.array_equal(alone, calls[bad])
+    assert np.array_equal(alone.sum(axis=0), calls[bad])
 
 
 # -- truncation --------------------------------------------------------

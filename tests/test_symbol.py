@@ -525,6 +525,20 @@ def test_dw_agrees_with_the_oracle_or_is_a_typed_error(d, e, theta):
     assert abs(omega - _oracle_dw(s)) <= 1e-6
 
 
+# A known defect: 1 - d attracts with phi' = 0.9999, but the simple root
+# of N - zD at 1 comes out just inside the disk (about 2e-9 inside at
+# theta = 0), Newton polishes it to a point where |phi'| = 1.0001, and
+# the search raises instead of returning 1 - d.  Fixing the search
+# turns these tests into passes, which strict xfail reports.
+@pytest.mark.xfail(strict=True, raises=RootFindingError)
+@pytest.mark.parametrize("d,e,theta", [(1e-7, 1e-4, 0.0),
+                                       (3.2e-7, 1e-4, 0.0),
+                                       (3.2e-7, 1e-4, 2.5)])
+def test_interior_fixed_point_beside_a_boundary_root_inside(d, e, theta):
+    s = _two_fixed_points(d, e, theta)
+    assert abs(denjoy_wolff(s).omega - _oracle_dw(s)) <= 1e-6
+
+
 @pytest.mark.parametrize("e", (1e-2, 1e-4))
 @pytest.mark.parametrize("theta", (0.0, 2.5))
 def test_interior_fixed_point_next_to_the_boundary_one_attracts(e, theta):

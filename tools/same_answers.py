@@ -79,7 +79,9 @@ divisible by n, rsm with n = 8 at order 40, where some products
 have genuine eigenvalues below their matching tolerance, and cta with
 n = 8 at order 40 and flc with n = 16 at order 64, whose families have
 the most required products per left factor (56 products from 8 left
-factors, 120 from 15), each at master seeds 0-3.  Every difference in exit code, stdout, stderr, report bytes
+factors, 120 from 15), each at master seeds 0-3; and the fl, cta and
+flc suites at ``LONG_TRIALS`` = 137 trials, which run as several full
+stacks and a remainder, at the same seeds.  Every difference in exit code, stdout, stderr, report bytes
 or SVG bytes is printed (an uncaught exception counts as exit 1, with
 its type and message as stderr), then one count per command and field
 that differs, then the total; the exit status is 0 when there is no
@@ -114,6 +116,7 @@ LEMMA_SEEDS = range(4)
 GOLDEN_SCALES = (-540, -40, -20, 20, 40, 540)
 TRUNCATE = ["--order", "32", "--out", "report.json"]
 RSM_ORDERS = (11, 17, 23)
+LONG_TRIALS = 137
 SPARSE_DEGREES = (16, 32, 64)
 TAIL_BASES = (0.5, -0.9, 0.999, 0.9j, 0.99 * cmath.exp(0.7j))
 MATCH_TOL = 1e-7   # compspec.config.MATCH_TOL
@@ -283,14 +286,18 @@ def lemma_runs() -> dict[str, list[str]]:
     sys.path.insert(0, str(ROOT / "perfbench"))
     from run import LEMMA_SPLIT, LEMMA_SUITES, LEMMA_TRIALS
 
-    shapes = (LEMMA_SUITES + [("rsm", 5, order) for order in RSM_ORDERS]
-              + [("rsm", 8, 40), ("cta", 8, 40), ("flc", 16, 64)])
     trials = LEMMA_TRIALS // LEMMA_SPLIT
-    return {f"lemma-{lemma}-n{n}-o{order}-s{seed}": [
+    shapes = [(lemma, n, order, trials) for lemma, n, order in (
+        LEMMA_SUITES + [("rsm", 5, order) for order in RSM_ORDERS]
+        + [("rsm", 8, 40), ("cta", 8, 40), ("flc", 16, 64)])]
+    shapes += [(lemma, n, order, LONG_TRIALS)
+               for lemma, n, order in LEMMA_SUITES
+               if lemma in ("fl", "cta", "flc")]
+    return {f"lemma-{lemma}-n{n}-o{order}-t{count}-s{seed}": [
         "lemma-check", "--lemma", lemma, "--n", str(n), "--order",
-        str(order), "--trials", str(trials), "--seed", str(seed),
+        str(order), "--trials", str(count), "--seed", str(seed),
         "--out", "report.json"]
-        for lemma, n, order in shapes for seed in LEMMA_SEEDS}
+        for lemma, n, order, count in shapes for seed in LEMMA_SEEDS}
 
 
 def _call(main, argv) -> tuple[int, str, str]:
