@@ -37,12 +37,14 @@ solves shrink by those factors.
 
 phi, phi' and phi'' at a point come from one jet: one Horner pass over
 D and one over each of N, U and V asked for (phi' = U/D^2, phi'' =
-V/D^3).  The jet and every per-point loop run on Python complex scalars
-(cmath.exp, not np.exp), which give numpy's doubles: a numpy call per
-point costs more than its arithmetic.  For the same reason the
-derivative numerators and G are formed with ``np.convolve``, slicing
-and a padded subtraction rather than the numpy.polynomial helpers,
-giving the same doubles.
+V/D^3).  Numpy computes what reaches a report: the products
+(np.convolve), N and D at the critical points (np.polyval), the
+critical angles and the eigen-solves.  Python does the bookkeeping on
+complex lists (trims, rescale, reflection, subtraction, derivatives,
+scope tests) with numpy.polynomial's operations in its order, so every
+double is its double, signed zeros included.  The jet and the
+per-point loops run on Python complex too: a numpy call on a few
+numbers costs more than its arithmetic.
 """
 
 from __future__ import annotations
@@ -50,11 +52,11 @@ from __future__ import annotations
 import cmath
 import enum
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .config import CONTACT_TOL, EPS, MATCH_TOL, PICK_FACTOR, REAL_TOL
 from .errors import (InvalidDataError, NotInScopeError, RootFindingError)
@@ -79,88 +81,80 @@ DEGREE_CAP = 64
 _SPLIT_ROOT = 1e-3
 
 
-def _trim(coeffs) -> np.ndarray:
+def _trimmed(c: list) -> list:
+    """c without trailing zeros, keeping at least one entry."""
+    while len(c) > 1 and not c[-1]:
+        c = c[:-1]
+    return c
+
+
+def _trim(coeffs) -> list:
     c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
     if c.ndim != 1 or c.size == 0:
         raise InvalidDataError("coefficient array must be 1-d and nonempty")
-    if not np.all(np.isfinite(c)):
+    if not all(map(cmath.isfinite, c := _trimmed(c.tolist()))):
         raise InvalidDataError("coefficients must be finite")
-    return _trimseq(c).copy()
+    return c
 
 
-def _reflect(coeffs: np.ndarray, degree: int) -> np.ndarray:
-    """z^degree * conj(P)(1/z) as a polynomial of degree <= degree."""
-    padded = np.zeros(degree + 1, dtype=complex)
-    padded[: coeffs.size] = coeffs
-    return _trimseq(np.conj(padded)[::-1])
+def _scaled(c: list, e: int) -> list:
+    """c times 2^e, exact bar subnormals."""
+    return [complex(math.ldexp(z.real, e), math.ldexp(z.imag, e)) for z in c]
 
 
-# Coefficient arithmetic on ascending complex arrays, without the per-call
-# as_series normalisation of numpy.polynomial's polyder/polymul/polysub.
-# The products, sums and trims are theirs, in their order, so every
-# coefficient is the same double, signed zeros included (reports print
-# them).
-
-def _trimseq(c: np.ndarray) -> np.ndarray:
-    """c without trailing zeros, keeping at least one entry."""
-    if c[-1] != 0:
-        return c
-    nz = np.flatnonzero(c)
-    return c[: nz[-1] + 1] if nz.size else c[:1]
+def _der(c: list) -> list:
+    return [a * k for k, a in enumerate(c) if k] or [c[0] * 0]
 
 
-def _der(c: np.ndarray) -> np.ndarray:
-    return c[1:] * np.arange(1, c.size) if c.size > 1 else c * 0
+def _mul(a, b) -> list:
+    return _trimmed(np.convolve(a, b).tolist())
 
 
-def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _trimseq(np.convolve(a, b))
+def _sub(a: list, b: list) -> list:   # polysub: past a, -b, not 0 - b
+    return _trimmed([x - y for x, y in zip(a, b)] + a[len(b):]
+                    + [-y for y in b[len(a):]])
 
 
-def _sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = _trimseq(a), _trimseq(b)
-    if a.size > b.size:
-        out = a.copy()
-        out[: b.size] -= b
-    else:
-        out = -b
-        out[: a.size] += a
-    return _trimseq(out)
+def _reflection(n, d, deg: int) -> list:
+    """G = N N~ - D D~, where P~(z) = z^deg conj(P)(1/z)."""
+    def reflect(c):
+        return _trimmed([a.conjugate() for a in reversed(
+            list(c) + [0j] * (deg + 1 - len(c)))])
+    return _sub(_mul(n, reflect(n)), _mul(d, reflect(d)))
 
 
-def _reflection(n: np.ndarray, d: np.ndarray, deg: int) -> np.ndarray:
-    """The reflection polynomial G = N N~ - D D~ of degree-deg N and D."""
-    return _trim(_sub(_mul(n, _reflect(n, deg)), _mul(d, _reflect(d, deg))))
-
-
-def _roots(c: np.ndarray) -> np.ndarray:
+def _roots(c) -> np.ndarray:
     """Companion-matrix roots of c; a failed solve is a typed error.
 
-    With s the lowest power of c with a nonzero coefficient and m the
-    gcd of the exponents of c / z^s, c(z) = z^s q(z^m) for
-    q = c[s::m].  The s zero roots are exact (and listed first).  The
-    companion solve is of q, at degree (deg c - s) / m, and each root w
-    of q gives its m m-th roots |w|^(1/m) e^{i (arg w + 2 pi j) / m},
-    j = 0 ... m - 1: the principal root w^(1/m) times each m-th root of
-    unity.  For s = 0 and m <= 1 (c dense with c(0) != 0, constant or
-    zero) this is ``P.polyroots(c)``.  c is first divided by a power of
-    two near its largest modulus (exact, and it lifts a c of subnormal
-    terms alone into the normal range), and terms then below 2^-1022
-    are dropped: a top one only adds roots far off the circle, which
-    overflow the companion matrix; any other moves roots by roundoff."""
-    c = np.ascontiguousarray(c, complex)
-    c = np.ldexp(c.view(float), -np.frexp(np.abs(c).max())[1]).view(complex)
-    c[np.abs(c) < 2.0 ** -1022] = 0
-    exponents = np.flatnonzero(c)
-    s = int(exponents[0]) if exponents.size else 0
-    m = int(np.gcd.reduce(exponents - s))
+    c(z) = z^s q(z^m), with s the lowest power of c with a nonzero
+    coefficient and m the gcd of the exponents of c / z^s.  The s zero
+    roots are exact and listed first; each root w of q gives the m roots
+    w^(1/m) e^{2 pi i j / m}.  q's roots are numpy.polynomial's
+    polyroots(q), bit for bit: its companion matrix, solve and sort.  c
+    is first scaled by a power of two to max |c| in [1/2, 1) (exact; it
+    lifts subnormal terms), and terms then below 2^-1022 are dropped: a
+    top one only adds roots far off the circle, which overflow the
+    companion matrix; any other moves roots by roundoff."""
+    c = [0j if abs(z) < 2.0 ** -1022 else z
+         for z in _scaled(c, -math.frexp(max(map(abs, c)))[1])]
+    exponents = [k for k, z in enumerate(c) if z]
+    s = exponents[0] if exponents else 0
+    m = math.gcd(*(k - s for k in exponents))
+    q = _trimmed(c[s::m] if m > 1 else c[s:])
     try:
         with np.errstate(all="ignore"):   # the result is checked below
-            roots = P.polyroots(c[s::m] if m > 1 else c[s:])
+            if len(q) < 3:   # polyroots' own path below degree 2
+                roots = np.array([-np.complex128(q[0]) / q[1]]
+                                 if len(q) == 2 else [], dtype=complex)
+            else:            # polycompanion(q)
+                mat = np.eye(len(q) - 1, k=-1, dtype=complex)
+                mat[:, -1] -= np.array(q[:-1]) / q[-1]
+                roots = np.linalg.eigvals(mat)
+                roots.sort()
             if m > 1:
                 unity = np.exp(2j * np.pi * np.arange(m) / m)
                 roots = np.outer(roots ** (1.0 / m), unity).ravel()
-        if np.all(np.isfinite(roots)):
+        if np.isfinite(roots).all():
             return np.concatenate((np.zeros(s, dtype=complex), roots))
     except np.linalg.LinAlgError:
         pass
@@ -170,8 +164,8 @@ def _roots(c: np.ndarray) -> np.ndarray:
 class _Polys(NamedTuple):
     """Coefficients of phi = N/D, built once with the symbol, and the
     circle critical points of T by angle in [0, 2 pi), with |phi| at each."""
-    n: np.ndarray
-    d: np.ndarray
+    n: list
+    d: list
     critical: np.ndarray
     modulus: np.ndarray
 
@@ -187,49 +181,46 @@ class RationalSymbol:
     _desc: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = _trim(self.num)
-        d = _trim(self.den)
-        if np.max(np.abs(d)) == 0:
+        n, d = _trim(self.num), _trim(self.den)
+        if not any(d):
             raise InvalidDataError("denominator is identically zero")
         object.__setattr__(self, "num", tuple(n))
         object.__setattr__(self, "den", tuple(d))
         # an exact (bar subnormals) power-of-two rescale: u, g cannot overflow
-        e = np.frexp(max(np.max(np.abs(n)), np.max(np.abs(d))))[1]
-        n, d = (np.ldexp(c.view(float), -e).view(complex) for c in (n, d))
-        if max(n.size, d.size) - 1 > DEGREE_CAP:
+        e = math.frexp(max(map(abs, n + d)))[1]
+        n, d = _scaled(n, -e), _scaled(d, -e)
+        deg = max(len(n), len(d)) - 1
+        if deg > DEGREE_CAP:
             raise InvalidDataError(f"degree exceeds cap {DEGREE_CAP}")
-        if d.size > 1:
-            roots = _roots(d)
-            bad = roots[np.abs(roots) <= 1.0 + EPS]
-            if bad.size:
-                # by angle, so the text does not depend on the solver
-                bad = bad[np.argsort(np.angle(bad) % (2.0 * np.pi),
-                                     kind="stable")]
+        if len(d) > 1:
+            bad = [r for r in _roots(d).tolist() if abs(r) <= 1.0 + EPS]
+            if bad:   # by angle, so the text does not depend on the solver
+                bad.sort(key=lambda r: cmath.phase(r) % (2.0 * math.pi))
                 raise InvalidDataError(
-                    f"denominator roots in the closed disk: {bad}")
-        deg = max(n.size, d.size) - 1
+                    f"denominator roots in the closed disk: {np.array(bad)}")
         g = _reflection(n, d, deg)
-        roots = _roots(g * (np.arange(g.size) - deg))   # H = z G' - deg G
-        near = roots[np.abs(np.abs(roots) - 1.0) < _SPLIT_ROOT]
+        # H = z G' - deg G
+        roots = _roots([c * (k - deg) for k, c in enumerate(g)]).tolist()
+        near = [r for r in roots if abs(abs(r) - 1.0) < _SPLIT_ROOT]
         crit = np.exp(1j * np.sort(np.angle(near) % (2.0 * np.pi)))
         z = np.append(crit, 1.0)
-        vals = np.abs(P.polyval(z, n) / P.polyval(z, d))
-        if np.max(vals) > 1.0 + EPS:
+        # np.polyval's Horner loop gives numpy.polynomial's polyval doubles
+        vals = np.abs(np.polyval(n[::-1], z) / np.polyval(d[::-1], z))
+        if vals.max() > 1.0 + EPS:
             raise InvalidDataError(
-                f"sup |phi| on the circle is {np.max(vals)} > 1")
+                f"sup |phi| on the circle is {vals.max()} > 1")
         # nonconstant: numerator of phi' must not vanish identically;
         # u is bilinear in (n, d), so its scale is |n| |d|
         dd = _der(d)
         u = _sub(_mul(_der(n), d), _mul(n, dd))
-        if np.max(np.abs(u)) <= EPS * np.max(np.abs(n)) * np.max(np.abs(d)):
+        if max(map(abs, u)) <= EPS * max(map(abs, n)) * max(map(abs, d)):
             raise InvalidDataError("symbol is constant")
-        scale = max(np.max(np.abs(n)), np.max(np.abs(d))) ** 2
-        if np.max(np.abs(g)) <= 1e-12 * scale:
+        if max(map(abs, g)) <= 1e-12 * max(map(abs, n + d)) ** 2:
             raise NotInScopeError("not in scope: inner symbol")
         v = _sub(_mul(_der(u), d), _mul(_mul(u, dd), [2.0]))
         object.__setattr__(self, "_polys", _Polys(n, d, crit, vals[:-1]))
         object.__setattr__(self, "_desc", tuple(
-            tuple(a[::-1].tolist()) for a in (d, n, u, v)))
+            tuple(a[::-1]) for a in (d, n, u, v)))
 
     # -- evaluation -------------------------------------------------
     def _jet(self, k: int, z: complex) -> list[complex]:
@@ -314,10 +305,9 @@ class BoundaryDataSymbol:
             if not isinstance(p, SecondOrderData):
                 raise InvalidDataError("points must be SecondOrderData")
         zetas = [p.zeta for p in pts]
-        for i in range(len(zetas)):
-            for j in range(i + 1, len(zetas)):
-                if abs(zetas[i] - zetas[j]) <= 10 * MATCH_TOL:
-                    raise InvalidDataError("contact points not distinct")
+        if any(abs(a - b) <= 10 * MATCH_TOL
+               for a, b in itertools.combinations(zetas, 2)):
+            raise InvalidDataError("contact points not distinct")
 
         def match(w: complex) -> int | None:
             return next((i for i, z in enumerate(zetas)
@@ -541,21 +531,20 @@ def _certificate(points, multiplicities, *notes: str) -> S2Certificate:
     return S2Certificate(all(c.ok for c in checks), tuple(checks), notes)
 
 
-def _without_double_root(f: np.ndarray, zeta: complex) -> np.ndarray:
+def _without_double_root(f: list, zeta: complex) -> list:
     """f / (z - zeta)^2 when both remainders of synthetic division by
     z - zeta are at most EPS max|f|, else f: zeta is then a double root
-    of f up to roundoff.  The division runs on Python scalars, like the
-    jet."""
-    if f.size < 3:
+    of f up to roundoff."""
+    if len(f) < 3:
         return f
-    q = f[::-1].tolist()      # highest power first
+    q = f[::-1]      # highest power first
     tol = EPS * max(map(abs, q))
     for _ in range(2):
         for k in range(1, len(q)):
             q[k] += zeta * q[k - 1]
         if abs(q.pop()) > tol:
             return f
-    return np.array(q[::-1])
+    return q[::-1]
 
 
 def _rational_denjoy_wolff(s: RationalSymbol, points) -> DenjoyWolffRecord:
@@ -569,24 +558,32 @@ def _rational_denjoy_wolff(s: RationalSymbol, points) -> DenjoyWolffRecord:
     = 1 there, the parabolic case), it is divided out before the roots
     are found, since roundoff would split it by about sqrt(roundoff).
     Each root then left inside 1 - EPS is Newton-polished on phi(z) - z,
-    and must land inside 1 - EPS with |phi'| < 1 - EPS: a fixed point
-    there that does not attract makes phi' > 1 at every boundary fixed
-    point (Julia's lemma), so no answer would be right."""
+    the simple boundary roots deflated (Maehly) so that none attracts
+    it; roots that meet within MATCH_TOL are one.  It must land inside
+    1 - EPS with |phi'| < 1 - EPS: a fixed point there that does not
+    attract makes phi' > 1 at every boundary fixed point (Julia's
+    lemma), so no answer would be right."""
     n, d = s._polys.n, s._polys.d
     # N(z) - z D(z); the zero below z D is written d[0] * 0, as polymulx does
-    f = _trim(_sub(n, np.concatenate(([d[0] * 0], d))))
-    if f.size <= 1:
+    f = _sub(n, [d[0] * 0] + d)
+    if len(f) <= 1:
         raise RootFindingError("fixed-point polynomial is degenerate")
     fixed = [p for p in points if abs(p.value - p.zeta) <= MATCH_TOL]
+    simple = []      # the fixed points left in f, simple roots of it
     for data in fixed:
-        f = _without_double_root(f, data.zeta)
-    roots = _roots(f)
+        divided = _without_double_root(f, data.zeta)
+        if divided is f:
+            simple.append(data.zeta)
+        f = divided
     found = []
-    for z in roots[np.abs(roots) < 1.0 - EPS].tolist():
-        # Newton polish on phi(z) - z (simple root when |phi'| < 1)
+    for z in [r for r in _roots(f).tolist() if abs(r) < 1.0 - EPS]:
+        # Newton on g = phi(z) - z over prod (z - zeta_k), zeta_k simple
         w, w1 = s._jet(2, z)
         for _ in range(50):
-            step = (w - z) / (w1 - 1.0)
+            g, den = w - z, w1 - 1.0
+            if simple:
+                den -= g * sum(1.0 / (z - zeta) for zeta in simple)
+            step = g / den
             z -= step
             w, w1 = s._jet(2, z)
             if abs(step) < 1e-15:
@@ -595,7 +592,8 @@ def _rational_denjoy_wolff(s: RationalSymbol, points) -> DenjoyWolffRecord:
             raise RootFindingError(
                 f"a root of N - zD inside the disk polishes to {z}, which "
                 f"does not attract: |phi'| = {abs(w1)!r}")
-        found.append(DenjoyWolffRecord(z, w1, Location.INTERIOR))
+        if all(abs(z - o.omega) > MATCH_TOL for o in found):
+            found.append(DenjoyWolffRecord(z, w1, Location.INTERIOR))
     if len(found) > 1:
         raise RootFindingError(
             f"multiple interior DW candidates: {[f_.omega for f_ in found]}")
@@ -673,6 +671,8 @@ def clark_atoms(s: Symbol | Analysis, alpha: complex) -> ClarkAtoms:
 
 def essential_norm_sq(s: Symbol | Analysis) -> float:
     """sup over alpha of the pure-point singular mass; 0 means compact."""
-    a = analyze(s)
-    return max((clark_atoms(a, p.value / abs(p.value)).total_mass
-                for p in a.boundary.points), default=0.0)
+    points = analyze(s).boundary.points
+    atoms = [(p.value, 1.0 / abs(p.d1)) for p in points]
+    return max((float(sum(m for w, m in atoms if abs(w - alpha) <= MATCH_TOL))
+                for alpha in (p.value / abs(p.value) for p in points)),
+               default=0.0)

@@ -111,19 +111,18 @@ def test_golden_reports(name, tmp_path):
     assert got == want
 
 
-@pytest.mark.parametrize("name,polyroots,contact_points", [
+@pytest.mark.parametrize("name,roots,contact_points", [
     ("lollipop", 3, 1), ("two_cycle", 3, 1), ("eight_point", 3, 1),
     ("square_root", 0, 0)])
-def test_analyze_reduces_the_symbol_once(name, polyroots, contact_points,
+def test_analyze_reduces_the_symbol_once(name, roots, contact_points,
                                          monkeypatch, capsys):
     # one root-finding each for the denominator, the reflection
     # polynomial and the fixed-point polynomial; nothing is recomputed
-    calls = count_calls(monkeypatch, (npoly, "polyroots"),
+    calls = count_calls(monkeypatch, (compspec.symbol, "_roots"),
                         (compspec.symbol, "contact_points"))
     assert run(["analyze", GOLDEN / f"{name}.symbol.json"]) == 0
     capsys.readouterr()
-    assert calls == {"polyroots": polyroots,
-                     "contact_points": contact_points}
+    assert calls == {"_roots": roots, "contact_points": contact_points}
 
 
 def _eigvals_orders(monkeypatch) -> list:
@@ -164,12 +163,13 @@ def test_eight_point_solves(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("name,polyval", [
-    ("lollipop", 2), ("two_cycle", 2), ("eight_point", 2),
+    ("lollipop", 0), ("two_cycle", 0), ("eight_point", 0),
     ("square_root", 0)])
 def test_scalar_evaluation_makes_no_polyval_call(name, polyval, monkeypatch,
                                                  capsys):
-    # N and D at the circle critical points of |N|^2 - |D|^2, for the
-    # self-map test; every scalar evaluation is Horner's
+    # every evaluation is Horner's, written out: N and D at the circle
+    # critical points of |N|^2 - |D|^2 for the self-map test, as numpy
+    # arrays, and every scalar one on Python complex
     calls = count_calls(monkeypatch, (npoly, "polyval"))
     assert run(["analyze", GOLDEN / f"{name}.symbol.json"]) == 0
     capsys.readouterr()
@@ -504,15 +504,27 @@ _SUBNORMAL_TOP = [
     ([[0, 0], [0, 0]], [[1, 0], [0, 0], [0, 2.2250738585e-313]]),
     ([[0, 0], [0.5, 0], [0, 2.2250738585e-313]], [[1, 0]]),
 ]
+# the same, with D or N - zD of degree 2 once the top term is dropped, so
+# that a companion matrix reaches the eigen-solver (the maps above need
+# none: their solves are of degree 1 or less)
+_SUBNORMAL_TOP_SOLVED = [
+    ([[0, 0]], [[4, 0], [1, 0], [1, 0], [0, 2.2250738585e-313]]),
+    ([[0.1, 0], [0.3, 0], [0.2, 0], [0, 2.2250738585e-313]], [[1, 0]]),
+]
 
 
-@pytest.mark.parametrize("num,den", _SUBNORMAL_TOP)
+@pytest.mark.parametrize("num,den", _SUBNORMAL_TOP_SOLVED)
 def test_failed_root_finding_is_a_typed_error(num, den, tmp_path, capsys,
                                               monkeypatch):
-    def fail(c):
-        raise np.linalg.LinAlgError("eigenvalues did not converge")
+    eigvals = np.linalg.eigvals
 
-    monkeypatch.setattr(compspec.symbol.P, "polyroots", fail)
+    def fail(a):
+        # every companion matrix fails; truncate's own matrix solves
+        if np.array_equal(a[1:, :-1], np.eye(len(a) - 1)):
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
     doc = tmp_path / "subnormal.json"
     doc.write_text(json.dumps({"kind": "rational", "num": num, "den": den}))
     out = tmp_path / "report.json"

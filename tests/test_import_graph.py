@@ -1,8 +1,9 @@
 """Each subcommand loads only its own layer.  The package imports its
 errors alone and the CLI adds only ``config``, so ``lemma-check`` loads
 the matrix lab and no symbol code, and the symbol subcommands never
-load the lab.  Each case runs in a fresh interpreter, since this test
-session has already imported the whole package."""
+load the lab.  No subcommand loads ``numpy.polynomial``.  Each case
+runs in a fresh interpreter, since this test session has already
+imported the whole package."""
 
 import json
 import os
@@ -60,3 +61,14 @@ def test_symbol_subcommands_never_load_the_lab(command, tmp_path):
     assert got["code"] == 0
     assert "compspec.symbol" in got["after"]
     assert "compspec.algebra_lab" not in got["after"]
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["classify"],
+                                  ["truncate", "--order", "8"]])
+def test_symbol_code_never_loads_numpy_polynomial(argv, tmp_path):
+    # the companion matrices are built in the symbol layer itself
+    got = probe([argv[0], str(GOLDEN / "lollipop.symbol.json")] + argv[1:]
+                + ["--out", str(tmp_path / "out.json")], tmp_path)
+    assert got["code"] == 0
+    assert "compspec.symbol" in got["after"]
+    assert not got["polynomial"]

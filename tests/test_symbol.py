@@ -225,7 +225,7 @@ def test_construction_matches_numpy_polynomial(coefficients):
         assume(False)  # a constant symbol
     # the construction works on N and D divided by one power of two,
     # which rounds only values it makes subnormal
-    n, d = s._polys.n, s._polys.d
+    n, d = np.array(s._polys.n), np.array(s._polys.d)
     given = np.concatenate([s.num, s.den]).view(float)
     scaled = np.concatenate([n, d]).view(float)
     scale = np.abs(given).max() / np.abs(scaled).max()
@@ -333,6 +333,63 @@ def test_zero_roots_are_split_off_exactly(c, s):
     assert got.dtype == want.dtype
     assert np.array_equal(got[:s], np.zeros(s))
     assert np.array_equal(got[s:].view(np.uint64), want.view(np.uint64))
+
+
+def _numpy_polynomial_roots(c):
+    """_roots as written on numpy.polynomial's polyroots, frozen here to
+    pin the bits of the companion solve that replaced it."""
+    c = np.ascontiguousarray(c, complex)
+    c = np.ldexp(c.view(float), -np.frexp(np.abs(c).max())[1]).view(complex)
+    c[np.abs(c) < 2.0 ** -1022] = 0
+    exponents = np.flatnonzero(c)
+    s = int(exponents[0]) if exponents.size else 0
+    m = int(np.gcd.reduce(exponents - s))
+    try:
+        with np.errstate(all="ignore"):
+            roots = P.polyroots(c[s::m] if m > 1 else c[s:])
+            if m > 1:
+                unity = np.exp(2j * np.pi * np.arange(m) / m)
+                roots = np.outer(roots ** (1.0 / m), unity).ravel()
+        if np.all(np.isfinite(roots)):
+            return np.concatenate((np.zeros(s, dtype=complex), roots))
+    except np.linalg.LinAlgError:
+        pass
+    raise RootFindingError("companion-matrix root finding failed")
+
+
+_tiny = st.floats(-1e-308, 1e-308, allow_subnormal=True)
+
+
+@st.composite
+def _scaled_polynomials_in_z_m(draw):
+    """c(z) = z^s q(z^m) for m in 1-64 and s in 0-3, q of degree 0-7 (the
+    zero polynomial too) with coefficients that are zero, of modulus
+    0.1-1 or subnormal (the top one too), c scaled by a power of ten
+    and up to two zero top coefficients on c, untrimmed."""
+    m = draw(st.integers(1, 64))
+    s = draw(st.integers(0, 3))
+    q = draw(st.lists(st.one_of(st.just(0j), _unit_coef,
+                                st.builds(complex, _tiny, _tiny)),
+                      min_size=1, max_size=8))
+    c = np.zeros(s + (len(q) - 1) * m + 1 + draw(st.integers(0, 2)),
+                 dtype=complex)
+    c[s: s + (len(q) - 1) * m + 1: m] = q
+    return c * draw(st.sampled_from([1.0, 3.0, 1e-300, 1e300]))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_scaled_polynomials_in_z_m())
+def test_roots_keep_the_bits_of_numpy_polynomial(c):
+    # the companion matrix, eigen-solve and sort are polyroots' own
+    try:
+        want = _numpy_polynomial_roots(c)
+    except RootFindingError:
+        with pytest.raises(RootFindingError):
+            _roots(c)
+        return
+    got = _roots(c)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("den", [
@@ -507,12 +564,15 @@ def _oracle_dw(s):
 # at EPS, though 1 - 2e-4 attracts: the interior root must stop the
 # search.  At d <= 2e-6 and e <= 1e-10, 1 - d lies so close to 1 that
 # the pair looks like a split double root: the answer is never a
-# parabolic one at 1
+# parabolic one at 1.  At d <= 3.2e-7 and e >= 1e-4, the simple root of
+# N - zD at 1 can come out inside the disk, next to 1 - d
 _GRID = [(d, e, (0.0, 2.5)[(i + j) % 2])
          for i, d in enumerate((1e-7, 1e-5, 1e-4, 2e-4, 1e-3, 1e-2, 1e-1))
          for j, e in enumerate((0.5, 1e-4, 1e-9, 1e-10, 1e-11, -1e-9))] + [
     (d, e, theta) for d in (4e-7, 5e-7, 8e-7, 2e-6) for e in (1e-10, 1e-11)
     for theta in (0.0, 2.5)]
+_GRID += [(d, e, theta) for d in (1e-7, 3.2e-7) for e in (1e-4, 1e-2)
+          for theta in (0.0, 2.5) if (d, e, theta) not in _GRID]
 
 
 @pytest.mark.parametrize("d,e,theta", _GRID)
@@ -525,12 +585,10 @@ def test_dw_agrees_with_the_oracle_or_is_a_typed_error(d, e, theta):
     assert abs(omega - _oracle_dw(s)) <= 1e-6
 
 
-# A known defect: 1 - d attracts with phi' = 0.9999, but the simple root
-# of N - zD at 1 comes out just inside the disk (about 2e-9 inside at
-# theta = 0), Newton polishes it to a point where |phi'| = 1.0001, and
-# the search raises instead of returning 1 - d.  Fixing the search
-# turns these tests into passes, which strict xfail reports.
-@pytest.mark.xfail(strict=True, raises=RootFindingError)
+# 1 - d attracts with phi' = 0.9999, and the simple root of N - zD at 1
+# comes out just inside the disk (about 2e-9 inside at theta = 0).
+# Plain Newton polishes it back to 1, where |phi'| = 1.0001; with 1
+# deflated, it goes to 1 - d.
 @pytest.mark.parametrize("d,e,theta", [(1e-7, 1e-4, 0.0),
                                        (3.2e-7, 1e-4, 0.0),
                                        (3.2e-7, 1e-4, 2.5)])
@@ -688,6 +746,23 @@ def test_essential_norm_sq(lollipop, two_cycle, compact_half):
 def test_essential_norm_sq_psi2():
     psi2 = RationalSymbol((32, 41), (49, 40))
     assert abs(essential_norm_sq(psi2) - 1 / 9) < 1e-9
+
+
+def test_essential_norm_sq_keeps_the_bits_of_the_clark_atoms(
+        lollipop, two_cycle, eight_point, square_root):
+    # one pass over the (value, mass) pairs gives the same double as the
+    # max over alpha of clark_atoms(..., alpha).total_mass, whose matches
+    # and summation order it keeps
+    gen = perfbench_gen()
+    doc, _ = gen.dilation(64, 2.0)
+    dilation = RationalSymbol([complex(*c) for c in doc["num"]],
+                              [complex(*c) for c in doc["den"]])
+    for s in (lollipop, two_cycle, eight_point, square_root, dilation):
+        a = analyze(s)
+        want = max((clark_atoms(a, p.value / abs(p.value)).total_mass
+                    for p in a.boundary.points), default=0.0)
+        assert essential_norm_sq(a).hex() == want.hex()
+    assert len(analyze(dilation).boundary.points) == 64
 
 
 def test_clark_atoms_sum_when_points_share_image(eight_point):
